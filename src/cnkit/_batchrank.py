@@ -1,20 +1,17 @@
 """Batched GF(2) rank of many small matrices, packed into uint64 words.
 
-The Monte Carlo loop ranks ~10^5 matrices per run; a numba kernel over
-word-packed rows keeps that to microseconds each.  Falls back to the
-pure-Python elimination when numba is unavailable.
+The Monte Carlo path ranks thousands of matrices of one shape at once.
+`rank_batch` eliminates column by column over the whole (batch, n, w)
+word array: each matrix takes its first row holding the column's bit as
+pivot and XORs it into every row holding that bit, so the pivot row
+becomes zero and the rank is the number of columns that found a pivot.
+A column costs a few numpy passes over the batch, with no Python loop
+over matrices.  `gf2.rank` is the scalar reference it is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -27,60 +24,20 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
-def _rank_batch_py(mats: np.ndarray) -> np.ndarray:
-    out = np.empty(mats.shape[0], dtype=np.int64)
-    for s in range(mats.shape[0]):
-        rows = [int.from_bytes(row.tobytes(), "little") for row in mats[s]]
-        pivots: dict[int, int] = {}
-        rank = 0
-        for row in rows:
-            while row:
-                h = row.bit_length() - 1
-                p = pivots.get(h)
-                if p is None:
-                    pivots[h] = row
-                    rank += 1
-                    break
-                row ^= p
-        out[s] = rank
-    return out
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _rank_batch_jit(mats):  # pragma: no cover - exercised via wrapper
-        b, n, w = mats.shape
-        out = np.empty(b, dtype=np.int64)
-        for s in range(b):
-            rows = mats[s].copy()
-            rank = 0
-            for col in range(n):
-                wi = col >> 6
-                bit = np.uint64(1) << np.uint64(col & 63)
-                piv = -1
-                for r in range(rank, n):
-                    if rows[r, wi] & bit:
-                        piv = r
-                        break
-                if piv < 0:
-                    continue
-                if piv != rank:
-                    for k in range(w):
-                        tmp = rows[rank, k]
-                        rows[rank, k] = rows[piv, k]
-                        rows[piv, k] = tmp
-                for r in range(rank + 1, n):
-                    if rows[r, wi] & bit:
-                        for k in range(w):
-                            rows[r, k] ^= rows[rank, k]
-                rank += 1
-            out[s] = rank
-        return out
-
-
 def rank_batch(mats: np.ndarray) -> np.ndarray:
-    """GF(2) ranks of a (batch, n, w) uint64 word array."""
-    if _HAVE_NUMBA:
-        return _rank_batch_jit(mats)
-    return _rank_batch_py(mats)
+    """GF(2) ranks of a (batch, n, w) uint64 word array; the input is not modified."""
+    rows = mats.copy()
+    batch, n, w = rows.shape
+    each = np.arange(batch)
+    rank = np.zeros(batch, dtype=np.int64)
+    seen = np.bitwise_or.reduce(rows.reshape(batch * n, w), axis=0)
+    for wi in range(w):
+        word = rows[:, :, wi]
+        for c in range(int(seen[wi]).bit_length()):
+            has = (word & np.uint64(1 << c)) != 0
+            piv = has.argmax(axis=1)
+            rank += has[each, piv]
+            # XOR the pivot into every row holding the bit, itself included:
+            # the pivot row becomes zero, so it is never picked again.
+            rows ^= has[:, :, None] * rows[each, piv][:, None, :]
+    return rank

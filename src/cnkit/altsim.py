@@ -27,6 +27,7 @@ from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
 from .numtheory import (
     FactoredInteger,
+    ResourceLimitError,
     is_square_class,
     is_squarefree_small,
     jacobi,
@@ -505,6 +506,20 @@ def equivalence_check(
 # --- Monte Carlo over bit assignments --------------------------------------------
 
 MC_BLOCK = 4096
+MC_BUDGET = 2 ** 30  # bytes that one block of draws or matrices may take
+
+
+def _check_block(r: int, count: int, per_sample: int) -> None:
+    """Reject r < 1, and a block whose arrays would exceed MC_BUDGET,
+    before anything is allocated."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    need = count * per_sample
+    if need > MC_BUDGET:
+        raise ResourceLimitError(
+            f"a block of {count} samples at r={r} needs about {need} bytes, "
+            f"over the budget of {MC_BUDGET}"
+        )
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -559,16 +574,14 @@ def sample_assignment(
     cfg: AltConfig, r: int, rng: np.random.Generator
 ) -> BitAssignment:
     """One uniform bit assignment with the product-class constraint."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    cls, upper = _draw_block(cfg, r, rng, 1)
-    return _materialize(cfg, cls[0], upper[0])
+    return draw_assignments(cfg, r, rng, 1)[0]
 
 
 def draw_assignments(
     cfg: AltConfig, r: int, rng: np.random.Generator, count: int
 ) -> list[BitAssignment]:
     """A block of assignments drawn exactly as the Monte Carlo path draws them."""
+    _check_block(r, count, r * (r + 16))
     cls, upper = _draw_block(cfg, r, rng, count)
     return [_materialize(cfg, cls[i], upper[i]) for i in range(count)]
 
@@ -625,8 +638,7 @@ def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.nd
 
 
 def _mc_block(args) -> np.ndarray:
-    label, r, seed, block, count = args
-    cfg = ensemble_config(label)
+    cfg, r, seed, block, count = args
     rng = _block_rng(seed, block)
     cls, upper = _draw_block(cfg, r, rng, count)
     words = _assemble_block(cfg, cls, upper)
@@ -646,21 +658,26 @@ def corank_distribution_mc(
 
     Samples are partitioned into fixed blocks with per-block RNG streams
     derived from (seed, block index), so results are bit-identical for
-    any worker count.
+    any worker count.  Every field of cfg is used, and cfg is checked
+    with validate_config; r < 1 raises ValueError and a block over
+    MC_BUDGET raises ResourceLimitError.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not cfg.label:
-        raise ValueError("Monte Carlo needs a registered ensemble label")
+    validate_config(cfg)
+    m = 2 * r + cfg.t
+    w = (m + 63) // 64
+    # per sample: the assembled 0/1 matrix, its copy padded to w words for
+    # packing, and about eight r x r tables of draws and blocks
+    _check_block(r, min(MC_BLOCK, samples), m * m + m * 64 * w + 8 * r * r)
     blocks = []
     off = 0
     b = 0
     while off < samples:
         count = min(MC_BLOCK, samples - off)
-        blocks.append((cfg.label, r, seed, b, count))
+        blocks.append((cfg, r, seed, b, count))
         off += count
         b += 1
-    m = 2 * r + cfg.t
     total = np.zeros(m + 1, dtype=np.int64)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cnkit import gf2
+from cnkit import altsim, gf2
 from cnkit.altsim import (
     ENSEMBLE_LABELS,
     AltConfig,
@@ -28,9 +30,15 @@ from cnkit.altsim import (
     sample_assignment,
     validate_config,
 )
-from cnkit._batchrank import rank_batch
+from cnkit._batchrank import pack_rows, rank_batch
+from cnkit.gf2 import F2Matrix
 from cnkit.lfun import LCache
-from cnkit.numtheory import factor_squarefree, sieve_init, try_factor_squarefree
+from cnkit.numtheory import (
+    ResourceLimitError,
+    factor_squarefree,
+    sieve_init,
+    try_factor_squarefree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +226,7 @@ def test_assignment_class_distribution():
 
 
 def test_batch_path_matches_reference():
-    # vectorized assembly + jit rank agree with build_alt + gf2 rank
+    # vectorized assembly + batched rank agree with build_alt + gf2 rank
     for label in ("5a", "6", "7b"):
         cfg = ensemble_config(label)
         rng = _block_rng(42, 0)
@@ -258,6 +266,64 @@ def test_mc_determinism_and_parity():
     assert h3.counts == h1.counts
     assert sum(h1.counts.values()) == 5000
     assert all(k % 2 == cfg.t % 2 for k in h1.counts)
+
+
+def custom_configs():
+    stock = ensemble_config("7a")
+    return [
+        dataclasses.replace(stock, d_diag=-1, delta_expected=None),
+        dataclasses.replace(
+            stock, b=F2Matrix.from_rows([[0, 1], [1, 0]]), delta_expected=None
+        ),
+    ]
+
+
+@pytest.mark.parametrize("cfg", custom_configs(), ids=["d_diag=-1", "b=[[0,1],[1,0]]"])
+def test_mc_honours_custom_config(cfg, monkeypatch):
+    # the Monte Carlo path ranks exactly the matrices build_alt gives for
+    # the configuration passed in, not those of the stock ensemble
+    validate_config(cfg)
+    r, seed, count = 6, 31, 600
+    draws = draw_assignments(cfg, r, _block_rng(seed, 0), count)
+    mats = [build_alt(cfg, a) for a in draws]
+    want = dict(Counter(gf2.corank(m) for m in mats))
+    ranked = []
+
+    def recording_rank_batch(words):
+        ranked.append(words.copy())
+        return rank_batch(words)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(altsim, "rank_batch", recording_rank_batch)
+        hist = corank_distribution_mc(cfg, r=r, samples=count, seed=seed)
+    assert hist.counts == want
+    bits = np.array([m.tolist() for m in mats], dtype=np.uint8)
+    assert len(ranked) == 1 and np.array_equal(ranked[0], pack_rows(bits))
+    assert corank_distribution_mc(cfg, r=r, samples=count, seed=seed, workers=2).counts == want
+
+
+def test_mc_rejects_invalid_config():
+    bad = dataclasses.replace(ensemble_config("7a"), d_diag=3)
+    with pytest.raises(ValueError, match="d_diag"):
+        corank_distribution_mc(bad, r=8, samples=10, seed=1)
+
+
+def test_mc_guards_r_before_allocating(monkeypatch):
+    cfg = ensemble_config("5a")
+
+    def no_draws(*args):
+        raise AssertionError("drew a block")
+
+    monkeypatch.setattr(altsim, "_draw_block", no_draws)
+    for r in (0, -3):
+        with pytest.raises(ValueError, match="r must be positive"):
+            corank_distribution_mc(cfg, r=r, samples=10, seed=1)
+        with pytest.raises(ValueError, match="r must be positive"):
+            draw_assignments(cfg, r, _block_rng(1, 0), 10)
+    with pytest.raises(ResourceLimitError):
+        corank_distribution_mc(cfg, r=1000, samples=10 ** 5, seed=1)
+    with pytest.raises(ResourceLimitError):
+        draw_assignments(cfg, 3000, _block_rng(1, 0), 4096)
 
 
 def test_mc_converges_to_alpha():

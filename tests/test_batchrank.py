@@ -1,0 +1,60 @@
+import numpy as np
+import pytest
+
+from cnkit import gf2
+from cnkit._batchrank import pack_rows, rank_batch
+from cnkit.gf2 import F2Matrix
+
+
+def reference_ranks(bits: np.ndarray) -> list[int]:
+    return [gf2.rank(F2Matrix.from_rows(mat.tolist())) for mat in bits]
+
+
+def checked_ranks(bits: np.ndarray) -> np.ndarray:
+    words = pack_rows(bits)
+    before = words.copy()
+    got = rank_batch(words)
+    assert np.array_equal(words, before)  # the caller's array is left as it was
+    assert got.shape == (bits.shape[0],)
+    return got
+
+
+@pytest.mark.parametrize(
+    "n, m, words",
+    [
+        (10, 130, 3),  # wide: more columns than rows
+        (3, 200, 4),
+        (5, 64, 1),
+        (130, 10, 1),  # tall
+        (64, 65, 2),
+        (61, 61, 1),  # square
+        (82, 82, 2),
+        (130, 130, 3),
+    ],
+)
+def test_rank_batch_matches_scalar_rank(n, m, words):
+    rng = np.random.default_rng(1000 * n + m)
+    for density in (0.5, 0.1):
+        bits = (rng.random((12, n, m)) < density).astype(np.uint8)
+        assert pack_rows(bits).shape == (12, n, words)
+        assert list(checked_ranks(bits)) == reference_ranks(bits)
+
+
+def test_rank_batch_rank_deficient_stacks():
+    rng = np.random.default_rng(7)
+    for n, m in ((12, 12), (9, 70), (40, 20), (20, 140)):
+        bits = rng.integers(0, 2, size=(16, n, m), dtype=np.uint8)
+        bits[:, n // 2 :] = bits[:, : n - n // 2]  # second half repeats the first
+        bits[:3, 1:] = bits[:3, :1]  # rank at most 1
+        bits[3] = 0
+        got = checked_ranks(bits)
+        assert list(got) == reference_ranks(bits)
+        assert max(got) <= n - n // 2
+        assert max(got[:3]) <= 1 and got[3] == 0
+
+
+def test_rank_batch_empty_shapes():
+    assert list(checked_ranks(np.zeros((4, 0, 30), dtype=np.uint8))) == [0] * 4
+    assert list(checked_ranks(np.zeros((3, 5, 0), dtype=np.uint8))) == [0] * 3
+    empty = rank_batch(np.zeros((0, 7, 2), dtype=np.uint64))
+    assert empty.shape == (0,)

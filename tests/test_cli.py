@@ -152,6 +152,20 @@ def test_bad_arguments(capsys):
     assert main(["markov", "--chain", "even", "--k-max", "2"]) == 3
 
 
+def test_simulate_guards_r(capsys, monkeypatch):
+    import cnkit.altsim as altsim
+
+    def no_draws(*args):
+        raise AssertionError("drew a block")
+
+    monkeypatch.setattr(altsim, "_draw_block", no_draws)
+    assert main(["simulate", "--row", "5a", "--r", "0", "--samples", "10"]) == 3
+    assert "r must be positive" in capsys.readouterr().err
+    # one 4096-sample block at r = 1000 would take about 66 GB
+    assert main(["simulate", "--row", "5a", "--r", "1000", "--samples", "100000"]) == 2
+    assert "resource error" in capsys.readouterr().err
+
+
 def test_sieve_cache_roundtrip(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "sieve.bin")
     sieve = sieve_init(5000)
