@@ -253,10 +253,10 @@ def build_alt(cfg: AltConfig, source: "FactoredInteger | BitAssignment") -> F2Ma
     if isinstance(source, FactoredInteger):
         if source.is_even or not cfg.accepts(source.n):
             raise ValueError(f"n={source.n} not in the ensemble family")
-        from .monsky import build_twist
+        from .monsky import twist_matrix
 
         r = source.r
-        a = build_twist(source).a
+        a = twist_matrix(source.odd_primes)
         sym = lambda dd: [_sym_plus(dd, p) for p in source.odd_primes]  # noqa: E731
     else:
         a, sym = _assignment_bits(cfg, source)
@@ -699,8 +699,8 @@ def four_rank(f: FactoredInteger) -> int:
     as the corank of A with its first row and column deleted."""
     if f.is_even or f.n % 4 != 3:
         raise ValueError(f"four_rank needs n = 3 (mod 4), got {f.n}")
-    from .monsky import build_twist
+    from .monsky import twist_matrix
 
-    a = build_twist(f).a
+    a = twist_matrix(f.odd_primes)
     idx = tuple(range(2, f.r + 1))
     return gf2.corank(gf2.submatrix(a, idx, idx))

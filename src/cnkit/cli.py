@@ -267,7 +267,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cnkit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, residue=False, row=False, seeded=False, scale=False):
+    def common(p, residue=False, row=False, seeded=False, scale=False, workers=False):
         if scale:
             p.add_argument("--max-n", type=int, required=True, dest="max_n")
         if residue:
@@ -278,14 +278,25 @@ def build_parser() -> _Parser:
             p.add_argument("--samples", type=int, default=100_000)
             p.add_argument("--r", type=int, default=30)
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        if workers:
+            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=str, default=None)
 
     common(sub.add_parser("verify", help="check divisor sums against determinants"), scale=True)
-    common(sub.add_parser("scan", help="density scan over one residue class"), residue=True, scale=True)
+    common(
+        sub.add_parser("scan", help="density scan over one residue class"),
+        residue=True,
+        scale=True,
+        workers=True,
+    )
     common(sub.add_parser("certify", help="stream certified congruent numbers"), residue=True, scale=True)
-    common(sub.add_parser("simulate", help="Monte Carlo corank distribution"), row=True, seeded=True)
+    common(
+        sub.add_parser("simulate", help="Monte Carlo corank distribution"),
+        row=True,
+        seeded=True,
+        workers=True,
+    )
     markov = sub.add_parser("markov", help="stationary distribution of a corank chain")
     markov.add_argument("--chain", choices=("even", "odd", "classrank"), required=True)
     markov.add_argument("--k-max", type=int, default=64, dest="k_max")

@@ -5,6 +5,14 @@ Scans aggregate pure counts over contiguous blocks of n, so parallel
 runs merge associatively and any worker count produces byte-identical
 reports.  Every scanned n is also pushed through the row identities as a
 standing cross-check.
+
+Within a block the two columns of the row identities are computed apart.
+The divisor sums are evaluated n by n.  The determinant column is
+batched: the twist data of each n is buffered by its prime count r, and
+a full buffer of CHUNK twists (or what is left at the end of the block)
+has every applicable row form, plus the residue-1 or residue-2 form that
+gives the Selmer rank, ranked in one `monsky.form_coranks` call.  The
+chunk bounds the memory a block holds.
 """
 
 from __future__ import annotations
@@ -14,13 +22,22 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .altsim import four_rank, gerth_pmf
-from .lfun import LCache, divisor_sum, verify_rows
-from .monsky import build_twist, rank3_indicator, rows_for_residue, selmer_rank
+from .lfun import LCache, divisor_sum
+from .monsky import (
+    SELMER_FORM,
+    build_twist,
+    form_coranks,
+    rank3_indicator,
+    rows_for_residue,
+)
 from .numtheory import PrimeSieve, sieve_init, try_factor_squarefree
 
 __all__ = [
     "BLOCK",
+    "CHUNK",
     "DensityReport",
     "FourRankCensus",
     "Certificate",
@@ -31,6 +48,7 @@ __all__ = [
 ]
 
 BLOCK = 1 << 16  # block length for parallel partitioning
+CHUNK = 1024  # same-r twists ranked together in a scan block
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -161,6 +179,7 @@ def _scan_block(args) -> DensityReport:
     cache = LCache()
     rep = DensityReport(residue=residue, limit=sieve_limit)
     rows = rows_for_residue(residue)
+    pending: dict[int, list] = {}
     start = lo + (residue - lo) % 8
     for n in range(start, hi, 8):
         f = try_factor_squarefree(n, sieve)
@@ -168,28 +187,42 @@ def _scan_block(args) -> DensityReport:
             continue
         rep.squarefree_count += 1
         twist = build_twist(f)
-        checks = verify_rows(f, cache, twist)
-        if any(not c.equal for c in checks.values()):
-            rep.identity_mismatches += 1
-        if residue in (5, 6, 7):
-            r3 = rank3_indicator(twist)
-            if r3:
-                rep.rank3_count += 1
-            any_nonzero = False
-            for row in rows:
-                if checks[row].sum_value:
-                    rep.row_nonzero[row] = rep.row_nonzero.get(row, 0) + 1
-                    any_nonzero = True
-                    if not r3:
-                        rep.sel3_violations += 1
-            if any_nonzero:
-                rep.certified_count += 1
-                if r3:
-                    rep.joint_nonzero += 1
-        else:
-            rank = selmer_rank(twist)
-            rep.selmer_rank_hist[rank] = rep.selmer_rank_hist.get(rank, 0) + 1
+        sums = tuple(divisor_sum(row, f, cache, twist) for row in rows)
+        chunk = pending.setdefault(f.r, [])
+        chunk.append((sums, twist.a.rows, twist.y.bits, twist.z.bits))
+        if len(chunk) >= CHUNK:
+            _tally(rep, f.r, pending.pop(f.r))
+    for r, chunk in pending.items():
+        _tally(rep, r, chunk)
     return rep
+
+
+def _tally(rep: DensityReport, r: int, chunk: list) -> None:
+    """Add a chunk of same-r twists, given as (divisor sums, a.rows,
+    y.bits, z.bits), to the report."""
+    rows = rows_for_residue(rep.residue)
+    form, value = SELMER_FORM[rep.residue]
+    labels = rows if form in rows else rows + (form,)
+    sums, a_rows, y_bits, z_bits = zip(*chunk)
+    coranks = form_coranks(labels, r, a_rows, y_bits, z_bits)
+    sums = np.array(sums, dtype=bool)
+    dets = (coranks[: len(rows)] == 0).T
+    rep.identity_mismatches += int((sums != dets).any(axis=1).sum())
+    form_corank = coranks[labels.index(form)]
+    if rep.residue in (5, 6, 7):
+        r3 = form_corank == value
+        rep.rank3_count += int(r3.sum())
+        for row, hits in zip(rows, sums.sum(axis=0).tolist()):
+            if hits:
+                rep.row_nonzero[row] = rep.row_nonzero.get(row, 0) + hits
+        rep.sel3_violations += int((sums & ~r3[:, None]).sum())
+        nonzero = sums.any(axis=1)
+        rep.certified_count += int(nonzero.sum())
+        rep.joint_nonzero += int((nonzero & r3).sum())
+    else:
+        ranks, counts = np.unique(form_corank + value, return_counts=True)
+        for rank, count in zip(ranks.tolist(), counts.tolist()):
+            rep.selmer_rank_hist[rank] = rep.selmer_rank_hist.get(rank, 0) + count
 
 
 def _blocks(residue: int, limit: int, sieve_limit: int) -> list[tuple[int, int, int, int]]:

@@ -155,9 +155,6 @@ class F2Matrix:
             bits |= ((row >> j) & 1) << i
         return F2Vector(len=self.nrows, bits=bits)
 
-    def row_vector(self, i: int) -> F2Vector:
-        return F2Vector(len=self.ncols, bits=self.rows[i])
-
     def tolist(self) -> list[list[int]]:
         return [[(row >> j) & 1 for j in range(self.ncols)] for row in self.rows]
 

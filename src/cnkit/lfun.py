@@ -7,7 +7,8 @@ a determinant form from monsky.  The divisor sums iterate literally over
 integer value since the same divisors recur across a scan.
 
 Divisors of squarefree n are encoded as (mask over odd primes, power of
-2), so subset iteration covers them exactly once.
+2), so subset iteration covers them exactly once.  Their subset products
+are built once per n and shared by every row of that n.
 """
 
 from __future__ import annotations
@@ -34,22 +35,28 @@ class LCache:
 
     Values are keyed by the integer they belong to, so caches can be
     shared across every n of a scan.  Single writer per cache; share
-    read-only or keep one per worker.
+    read-only or keep one per worker.  `ctx` holds the divisor context
+    of the last twist seen, so the rows of one n share it.
     """
 
     lvals: dict[int, int] = field(default_factory=dict)
     gvals: dict[int, int] = field(default_factory=dict)
+    ctx: "_Ctx | None" = field(default=None, repr=False, compare=False)
 
 
 class _Ctx:
     """Divisor bookkeeping for one squarefree n: subset products and
     restrictions of the twist data."""
 
-    __slots__ = ("twist", "prods", "cache", "members")
+    __slots__ = ("twist", "prods", "lvals", "gvals", "members")
 
     def __init__(self, twist: TwistData, cache: LCache):
+        # The memo tables, not the cache itself: the cache keeps its last
+        # context, and a reference back would make a cycle that only the
+        # cyclic collector frees.
         self.twist = twist
-        self.cache = cache
+        self.lvals = cache.lvals
+        self.gvals = cache.gvals
         primes = twist.f.odd_primes
         r = len(primes)
         prods = [1] * (1 << r)
@@ -63,14 +70,14 @@ class _Ctx:
 
     def g(self, mask: int, with2: bool) -> int:
         d = self.prods[mask] * (2 if with2 else 1)
-        got = self.cache.gvals.get(d)
+        got = self.gvals.get(d)
         if got is not None:
             return got
         members = self.members[mask]
         a_s = gf2.rows_normalized(self.twist.a, members, members)
         z_s = self.twist.z.restrict(members)
         val = redei_g_parts(a_s, z_s, 2 if with2 else d % 4)
-        self.cache.gvals[d] = val
+        self.gvals[d] = val
         return val
 
     def lval(self, mask: int) -> int:
@@ -79,7 +86,7 @@ class _Ctx:
             return 1
         if m % 8 != 1:
             return 0
-        got = self.cache.lvals.get(m)
+        got = self.lvals.get(m)
         if got is not None:
             return got
         low = mask & -mask
@@ -96,12 +103,18 @@ class _Ctx:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        self.cache.lvals[m] = total
+        self.lvals[m] = total
         return total
 
 
 def _ctx(f: FactoredInteger, cache: LCache, twist: TwistData | None) -> _Ctx:
-    return _Ctx(twist if twist is not None else build_twist(f), cache)
+    """The divisor context of n, built once per twist and kept in the cache."""
+    last = cache.ctx
+    if twist is not None and last is not None and last.twist is twist:
+        return last
+    ctx = _Ctx(twist if twist is not None else build_twist(f), cache)
+    cache.ctx = ctx
+    return ctx
 
 
 def lvalue_parity(

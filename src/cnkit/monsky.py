@@ -5,21 +5,33 @@ module builds the vectors y, z and the matrix A of additive Legendre
 symbols, the Redei determinant g(n) detecting trivial 4-rank of
 Cl(Q(sqrt(-n))), the eight residue-row determinant forms, the auxiliary
 block matrices used to relate them, and the 2-Selmer rank formulas.
+
+The scalar forms (`row_matrix_parts`, `row_det`, `rank3_indicator`,
+`selmer_rank`) are the readable reference.  Scans use their batched
+mirror: `row_matrix_batch` assembles one form for a stack of same-r
+twists as a (count, m, m) bit array, and `form_coranks` ranks several
+forms of such a stack with one `rank_batch` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from . import gf2
+from ._batchrank import pack_rows, rank_batch
 from .gf2 import F2Matrix, F2Vector
 from .numtheory import FactoredInteger, legendre_plus
 
 __all__ = [
     "ROW_LABELS",
     "ROW_RESIDUE",
+    "SELMER_FORM",
     "TwistData",
     "rows_for_residue",
+    "twist_matrix",
     "build_twist",
     "diag",
     "redei_g",
@@ -27,6 +39,8 @@ __all__ = [
     "row_matrix",
     "row_matrix_parts",
     "row_det",
+    "row_matrix_batch",
+    "form_coranks",
     "recursion_q",
     "det_recursion_rhs",
     "aux_o",
@@ -84,11 +98,9 @@ class TwistData:
     a: F2Matrix
 
 
-def build_twist(f: FactoredInteger) -> TwistData:
-    primes = f.odd_primes
-    r = len(primes)
-    y = F2Vector.from_bits(legendre_plus(-1, p) for p in primes)
-    z = F2Vector.from_bits(legendre_plus(2, p) for p in primes)
+def twist_matrix(primes: Sequence[int]) -> F2Matrix:
+    """A for the odd primes p_1 < ... < p_r: A_ij = (p_j/p_i)_+ off the
+    diagonal, and each diagonal entry makes its row sum to zero."""
     rows = []
     for i, p in enumerate(primes):
         row = 0
@@ -97,7 +109,14 @@ def build_twist(f: FactoredInteger) -> TwistData:
                 row |= legendre_plus(q, p) << j
         row |= (bin(row).count("1") & 1) << i
         rows.append(row)
-    return TwistData(f=f, y=y, z=z, a=F2Matrix(r, r, tuple(rows)))
+    return F2Matrix(len(primes), len(primes), tuple(rows))
+
+
+def build_twist(f: FactoredInteger) -> TwistData:
+    primes = f.odd_primes
+    y = F2Vector.from_bits(legendre_plus(-1, p) for p in primes)
+    z = F2Vector.from_bits(legendre_plus(2, p) for p in primes)
+    return TwistData(f=f, y=y, z=z, a=twist_matrix(primes))
 
 
 def diag(v: F2Vector) -> F2Matrix:
@@ -203,6 +222,101 @@ def row_matrix(row: str, t: TwistData) -> F2Matrix:
 
 def row_det(row: str, t: TwistData) -> int:
     return gf2.det(row_matrix(row, t))
+
+
+# --- batched forms --------------------------------------------------------------
+
+
+def row_matrix_batch(row: str, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Bits of `row_matrix_parts` for a stack of same-r triples.
+
+    a is a (count, r, r) and y, z are (count, r) 0/1 uint8 arrays; the
+    result is (count, m, m) with entry [k, i, j] the (i, j) entry of the
+    k-th form.  The grids mirror `row_matrix_parts` block for block.
+    """
+    count, r = y.shape
+    eye = np.eye(r, dtype=np.uint8)
+    at = a.transpose(0, 2, 1)
+    b = a ^ at
+    u = y ^ z
+    dz = z[:, :, None] * eye
+    b2 = b ^ (u[:, :, None] * eye)
+    yc, yr = y[:, :, None], y[:, None, :]
+    uc, ur = u[:, :, None], u[:, None, :]
+    z0 = np.zeros((count, r, 1), dtype=np.uint8)
+    z0r = np.zeros((count, 1, r), dtype=np.uint8)
+    zero = np.zeros((count, 1, 1), dtype=np.uint8)
+    if row == "1":
+        grid = [[b, at], [a, dz]]
+    elif row == "2":
+        grid = [[b2, at], [a, dz]]
+    elif row == "3":
+        grid = [[b, at, yc], [a, dz, z0], [yr, z0r, zero]]
+    elif row == "5a":
+        grid = [[b, at, uc], [a, dz, z0], [ur, z0r, zero]]
+    elif row == "5b":
+        grid = [[b, at, z0], [a, dz, yc], [z0r, yr, zero]]
+    elif row == "6":
+        grid = [[b2, at, yc], [a, dz, yc], [yr, yr, zero]]
+    elif row == "7a":
+        grid = [
+            [b, at, uc, z0],
+            [a, dz, z0, yc],
+            [ur, z0r, zero, zero],
+            [z0r, yr, zero, zero],
+        ]
+    elif row == "7b":
+        grid = [
+            [b, at, uc, yc],
+            [a, dz, z0, z0],
+            [ur, z0r, zero, zero],
+            [yr, z0r, zero, zero],
+        ]
+    else:
+        raise ValueError(f"unknown row label {row!r}")
+    return np.block(grid)
+
+
+def _bit_array(values: Sequence, r: int) -> np.ndarray:
+    """Unpack ints (or tuples of ints) of r bits each into a trailing
+    axis of r 0/1 entries, bit j at index j."""
+    ints = np.array(values, dtype=np.int64)
+    return ((ints[..., None] >> np.arange(r)) & 1).astype(np.uint8)
+
+
+def form_coranks(
+    labels: Sequence[str],
+    r: int,
+    a_rows: Sequence[tuple[int, ...]],
+    y_bits: Sequence[int],
+    z_bits: Sequence[int],
+) -> np.ndarray:
+    """Coranks of the forms `labels` for a stack of twists with r odd primes.
+
+    Entry k of a_rows, y_bits and z_bits is a.rows, y.bits and z.bits of
+    the k-th twist.  Every form is padded to the largest size m by an
+    identity block, which adds to the rank and leaves the corank alone,
+    so all of them are ranked in one `rank_batch` call.  Returns a
+    (len(labels), count) array; corank 0 means determinant 1.
+    """
+    count = len(a_rows)
+    a = _bit_array(a_rows, r).reshape(count, r, r)
+    y = _bit_array(y_bits, r)
+    z = _bit_array(z_bits, r)
+    forms = [row_matrix_batch(label, a, y, z) for label in labels]
+    m = max(form.shape[-1] for form in forms)
+    w = (m + 63) // 64
+    words = np.zeros((len(forms), count, m, w), dtype=np.uint64)
+    for i in range(m):
+        words[:, :, i, i // 64] = np.uint64(1 << (i % 64))
+    # Packed form by form: pack_rows pads its input to 64 columns first,
+    # and one form at a time keeps that copy small.
+    for k, form in enumerate(forms):
+        s = form.shape[-1]
+        if s:  # a 0x0 form (r = 0) has no rows to pack
+            words[k, :, :s, : (s + 63) // 64] = pack_rows(form)
+    ranks = rank_batch(words.reshape(len(forms) * count, m, w))
+    return m - ranks.reshape(len(forms), count)
 
 
 # --- auxiliary block matrices -------------------------------------------------
@@ -328,6 +442,14 @@ def rank3_indicator(t: TwistData) -> bool:
     if res == 7:
         return gf2.corank(row_matrix_parts("1", t.a, t.y, t.z)) == 2
     raise ValueError(f"rank3_indicator needs n = 5, 6, 7 (mod 8); n={n}")
+
+
+# The form whose corank gives the 2-Selmer rank of n = t (mod 8), for
+# batched callers, as in selmer_rank and rank3_indicator: for t = 1, 2, 3
+# the rank is the corank plus the value here (for t = 3 the residue-1
+# form is the residue-3 form without its border); for t = 5, 6, 7 the
+# rank is three iff the corank equals the value here.
+SELMER_FORM = {1: ("1", 2), 2: ("2", 2), 3: ("1", 1), 5: ("1", 1), 6: ("2", 1), 7: ("1", 2)}
 
 
 def random_constrained_triple(rng, r: int) -> tuple[F2Matrix, F2Vector, F2Vector]:

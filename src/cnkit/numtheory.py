@@ -160,14 +160,6 @@ def legendre_plus(d: int, p: int) -> int:
     return (1 - legendre(d, p)) // 2
 
 
-def jacobi_plus(d: int, m: int) -> int:
-    """Additive Jacobi symbol (d/m) for odd positive m coprime to d."""
-    s = jacobi(d, m)
-    if s == 0:
-        raise ValueError(f"gcd({d}, {m}) > 1")
-    return (1 - s) // 2
-
-
 def _square_classes_mod(mod: int) -> frozenset[int]:
     return frozenset((x * x) % mod for x in range(1, mod) if _gcd(x, mod) == 1)
 

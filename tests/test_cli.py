@@ -186,3 +186,18 @@ def test_sieve_cache_roundtrip(tmp_path, monkeypatch, capsys):
     assert os.path.exists(path2)
     code, _ = run(["verify", "--max-n", "400"], capsys)  # reuses larger cache
     assert code == 0
+
+
+def test_workers_only_where_read(capsys):
+    for args in (
+        ["verify", "--max-n", "100"],
+        ["certify", "--residue", "5", "--max-n", "100"],
+        ["classcheck", "--max-n", "100"],
+        ["markov", "--chain", "odd"],
+        ["alpha"],
+    ):
+        assert main(args + ["--workers", "2"]) == 3, args
+        assert "--workers" in capsys.readouterr().err
+    assert main(["scan", "--residue", "5", "--max-n", "100", "--workers", "2"]) == 0
+    args = ["simulate", "--row", "5a", "--r", "4", "--samples", "50", "--workers", "2"]
+    assert main(args) == 0

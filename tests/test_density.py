@@ -140,3 +140,54 @@ def test_metrics_rows(sieve):
     rep1 = scan(1, 2000, sieve)
     names = [m for m, _, _ in rep1.metrics()]
     assert any(name.startswith("selmer_rank") for name in names)
+
+
+def _scalar_scan(residue, limit, sieve):
+    """The per-n scan: verify_rows, rank3_indicator and selmer_rank."""
+    from cnkit.density import DensityReport
+    from cnkit.lfun import LCache, verify_rows
+    from cnkit.monsky import build_twist, rank3_indicator, rows_for_residue, selmer_rank
+    from cnkit.numtheory import try_factor_squarefree
+
+    cache = LCache()
+    rep = DensityReport(residue=residue, limit=limit)
+    for n in range(residue, limit + 1, 8):
+        f = try_factor_squarefree(n, sieve)
+        if f is None:
+            continue
+        rep.squarefree_count += 1
+        tw = build_twist(f)
+        checks = verify_rows(f, cache, tw)
+        rep.identity_mismatches += any(not c.equal for c in checks.values())
+        if residue in (5, 6, 7):
+            r3 = rank3_indicator(tw)
+            rep.rank3_count += r3
+            hits = [row for row in rows_for_residue(residue) if checks[row].sum_value]
+            for row in hits:
+                rep.row_nonzero[row] = rep.row_nonzero.get(row, 0) + 1
+                rep.sel3_violations += not r3
+            rep.certified_count += bool(hits)
+            rep.joint_nonzero += bool(hits) and r3
+        else:
+            rank = selmer_rank(tw)
+            rep.selmer_rank_hist[rank] = rep.selmer_rank_hist.get(rank, 0) + 1
+    return rep
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3, 5, 6, 7])
+def test_scan_matches_scalar_reference(sieve, residue):
+    assert scan(residue, 6000, sieve) == _scalar_scan(residue, 6000, sieve)
+
+
+@pytest.mark.parametrize("residue", [3, 7])
+def test_scan_chunk_independence(monkeypatch, residue):
+    import cnkit.density as density
+
+    limit = 2 * (1 << 16) + 4000  # spans three blocks
+    sieve = sieve_init(limit)
+    default = scan(residue, limit, sieve)
+    par = scan(residue, limit, sieve, workers=3)
+    monkeypatch.setattr(density, "CHUNK", 7)
+    small = scan(residue, limit, sieve)
+    assert small == default
+    assert par == default

@@ -4,6 +4,7 @@ import pytest
 from cnkit import gf2
 from cnkit.gf2 import F2Matrix, F2Vector
 from cnkit.monsky import (
+    ROW_LABELS,
     aux_n,
     aux_o,
     aux_p,
@@ -11,11 +12,13 @@ from cnkit.monsky import (
     build_twist,
     det_recursion_rhs,
     diag,
+    form_coranks,
     random_constrained_triple,
     rank3_indicator,
     redei_g,
     row_det,
     row_matrix,
+    row_matrix_batch,
     row_matrix_parts,
     rows_for_residue,
     selmer_rank,
@@ -303,3 +306,53 @@ def test_random_constrained_triple_constraints():
             for j in range(r):
                 if i != j:
                     assert rows[i][j] ^ rows[j][i] == (y[i] & y[j])
+
+
+def _bits(vals, r):
+    return np.array([[(v >> j) & 1 for j in range(r)] for v in vals], dtype=np.uint8)
+
+
+def test_row_matrix_batch_matches_scalar():
+    rng = np.random.default_rng(20160328)
+    for r in range(0, 6):
+        triples = [random_constrained_triple(rng, r) for _ in range(12)]
+        a = np.stack([np.array(m.tolist(), dtype=np.uint8).reshape(r, r) for m, _, _ in triples])
+        y = _bits([v.bits for _, v, _ in triples], r)
+        z = _bits([v.bits for _, _, v in triples], r)
+        for row in ROW_LABELS:
+            got = row_matrix_batch(row, a, y, z)
+            for k, (m, yv, zv) in enumerate(triples):
+                assert got[k].tolist() == row_matrix_parts(row, m, yv, zv).tolist(), (r, row, k)
+    with pytest.raises(ValueError):
+        row_matrix_batch("4", a, y, z)
+
+
+def test_form_coranks_match_scalar_to_1e5(sieve):
+    """Batched det of every applicable row equals row_det, and the batched
+    coranks of forms 1 and 2 equal the scalar ones, for every squarefree
+    n <= 1e5 with n = 1, 2, 3, 5, 6, 7 (mod 8), r = 0 included."""
+    groups = {}
+    for n in range(1, 10 ** 5 + 1):
+        if n % 8 in (0, 4):
+            continue
+        f = try_factor_squarefree(n, sieve)
+        if f is not None:
+            groups.setdefault((n % 8, f.r), []).append(build_twist(f))
+    assert (1, 0) in groups and (2, 0) in groups
+    for (t, r), twists in groups.items():
+        rows = rows_for_residue(t)
+        labels = tuple(dict.fromkeys(rows + ("1", "2")))
+        coranks = form_coranks(
+            labels,
+            r,
+            [tw.a.rows for tw in twists],
+            [tw.y.bits for tw in twists],
+            [tw.z.bits for tw in twists],
+        )
+        for k, tw in enumerate(twists):
+            got = dict(zip(labels, coranks[:, k].tolist()))
+            for row in rows:
+                assert (got[row] == 0) == row_det(row, tw), (tw.f.n, row)
+            for form in ("1", "2"):
+                want = gf2.corank(row_matrix_parts(form, tw.a, tw.y, tw.z))
+                assert got[form] == want, (tw.f.n, form)
