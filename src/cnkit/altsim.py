@@ -9,7 +9,8 @@ follows the alpha_k distribution in the limit.
 
 Also here: the two Markov chains (corank steps of +-2 for the ensemble,
 +-1 for class-group 4-ranks), the closed-form limit laws, Monte Carlo
-over bit assignments, and the 4-rank map for n = 3 (mod 4).
+over bit assignments, and the 4-rank map for n = 3 (mod 4), one n at a
+time or batched over a stack of same-r n.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from ._batchrank import pack_rows, rank_batch
 from .classgroup import ClassGroupInfo, classgroup_oracle
 from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
+from .monsky import twist_matrix
 from .numtheory import (
     FactoredInteger,
     ResourceLimitError,
     is_square_class,
     is_squarefree_small,
     jacobi,
+    legendre_plus_bulk,
 )
 
 __all__ = [
@@ -54,6 +57,7 @@ __all__ = [
     "classrank_stationary",
     "gerth_pmf",
     "four_rank",
+    "four_rank_batch",
     "classgroup_oracle",
     "ClassGroupInfo",
 ]
@@ -253,8 +257,6 @@ def build_alt(cfg: AltConfig, source: "FactoredInteger | BitAssignment") -> F2Ma
     if isinstance(source, FactoredInteger):
         if source.is_even or not cfg.accepts(source.n):
             raise ValueError(f"n={source.n} not in the ensemble family")
-        from .monsky import twist_matrix
-
         r = source.r
         a = twist_matrix(source.odd_primes)
         sym = lambda dd: [_sym_plus(dd, p) for p in source.odd_primes]  # noqa: E731
@@ -699,8 +701,33 @@ def four_rank(f: FactoredInteger) -> int:
     as the corank of A with its first row and column deleted."""
     if f.is_even or f.n % 4 != 3:
         raise ValueError(f"four_rank needs n = 3 (mod 4), got {f.n}")
-    from .monsky import twist_matrix
-
     a = twist_matrix(f.odd_primes)
     idx = tuple(range(2, f.r + 1))
     return gf2.corank(gf2.submatrix(a, idx, idx))
+
+
+def four_rank_batch(primes: np.ndarray) -> np.ndarray:
+    """`four_rank` for a stack of odd n = 3 (mod 4) with r primes each.
+
+    Row k of the (count, r) array primes holds the odd primes of the k-th
+    n, ascending.  A is built as `twist_matrix` builds it, with Euler's
+    criterion for the symbols above the diagonal and quadratic reciprocity
+    for those below; all the (r-1)-minors are ranked in one `rank_batch`
+    call.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    count, r = primes.shape
+    if ((primes % 4 == 3).sum(axis=1) % 2 == 0).any():
+        raise ValueError("four_rank_batch needs n = 3 (mod 4)")
+    if r < 2:
+        return np.zeros(count, dtype=np.int64)
+    i, j = np.triu_indices(r, 1)
+    upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
+    # (p_i/p_j) and (p_j/p_i) differ iff both primes are 3 (mod 4).
+    flip = (primes[:, i] % 4 == 3) & (primes[:, j] % 4 == 3)
+    a = np.zeros((count, r, r), dtype=np.uint8)
+    a[:, i, j] = upper
+    a[:, j, i] = upper ^ flip
+    ii = np.arange(r)
+    a[:, ii, ii] = a.sum(axis=2, dtype=np.int64) & 1
+    return (r - 1) - rank_batch(pack_rows(a[:, 1:, 1:]))

@@ -13,6 +13,11 @@ a full buffer of CHUNK twists (or what is left at the end of the block)
 has every applicable row form, plus the residue-1 or residue-2 form that
 gives the Selmer rank, ranked in one `monsky.form_coranks` call.  The
 chunk bounds the memory a block holds.
+
+The census has no divisor sums and runs in numpy throughout: each block
+is cut into slices, a slice is factored at once
+(`numtheory.factor_squarefree_range`), and its n of each prime count r
+get their 4-ranks from one `altsim.four_rank_batch` call.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .altsim import four_rank, gerth_pmf
+from .altsim import four_rank_batch, gerth_pmf
 from .lfun import LCache, divisor_sum
 from .monsky import (
     SELMER_FORM,
@@ -33,7 +38,12 @@ from .monsky import (
     rank3_indicator,
     rows_for_residue,
 )
-from .numtheory import PrimeSieve, sieve_init, try_factor_squarefree
+from .numtheory import (
+    PrimeSieve,
+    factor_squarefree_range,
+    sieve_init,
+    try_factor_squarefree,
+)
 
 __all__ = [
     "BLOCK",
@@ -225,14 +235,9 @@ def _tally(rep: DensityReport, r: int, chunk: list) -> None:
             rep.selmer_rank_hist[rank] = rep.selmer_rank_hist.get(rank, 0) + count
 
 
-def _blocks(residue: int, limit: int, sieve_limit: int) -> list[tuple[int, int, int, int]]:
-    out = []
-    lo = 1
-    while lo <= limit:
-        hi = min(lo + BLOCK, limit + 1)
-        out.append((residue, sieve_limit, lo, hi))
-        lo = hi
-    return out
+def _spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into consecutive (lo, hi) pairs at most width long."""
+    return [(a, min(a + width, hi)) for a in range(lo, hi, width)]
 
 
 def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> DensityReport:
@@ -242,7 +247,7 @@ def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> Densi
     if limit > sieve.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     _WORKER_SIEVE.setdefault(sieve.limit, sieve)
-    blocks = _blocks(residue, limit, sieve.limit)
+    blocks = [(residue, sieve.limit, lo, hi) for lo, hi in _spans(1, limit + 1, BLOCK)]
     rep = DensityReport(residue=residue, limit=limit)
     if workers > 1:
         with ProcessPoolExecutor(
@@ -294,14 +299,16 @@ def _census_block(args) -> FourRankCensus:
     sieve_limit, lo, hi = args
     sieve = _get_sieve(sieve_limit)
     census = FourRankCensus(limit=sieve_limit)
-    start = lo + (3 - lo) % 4
-    for n in range(start, hi, 4):
-        f = try_factor_squarefree(n, sieve)
-        if f is None:
-            continue
-        k = four_rank(f)
-        census.total += 1
-        census.counts[k] = census.counts.get(k, 0) + 1
+    # A slice of 16 * CHUNK integers holds 4 * CHUNK n = 3 (mod 4), which
+    # bounds the arrays a block holds at once.
+    for s_lo, s_hi in _spans(lo, hi, 16 * CHUNK):
+        ns, primes = factor_squarefree_range(s_lo, s_hi, sieve, residue=3, modulus=4)
+        census.total += ns.size
+        r = (primes != 0).sum(axis=1)
+        for rv in np.unique(r).tolist():
+            ks, counts = np.unique(four_rank_batch(primes[r == rv, :rv]), return_counts=True)
+            for k, c in zip(ks.tolist(), counts.tolist()):
+                census.counts[k] = census.counts.get(k, 0) + c
     return census
 
 
@@ -310,12 +317,7 @@ def fourrank_census(limit: int, sieve: PrimeSieve, workers: int = 1) -> FourRank
     if limit > sieve.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     _WORKER_SIEVE.setdefault(sieve.limit, sieve)
-    blocks = []
-    lo = 1
-    while lo <= limit:
-        hi = min(lo + BLOCK, limit + 1)
-        blocks.append((sieve.limit, lo, hi))
-        lo = hi
+    blocks = [(sieve.limit, lo, hi) for lo, hi in _spans(1, limit + 1, BLOCK)]
     census = FourRankCensus(limit=limit)
     if workers > 1:
         with ProcessPoolExecutor(

@@ -33,7 +33,6 @@ __all__ = [
     "rows_for_residue",
     "twist_matrix",
     "build_twist",
-    "diag",
     "redei_g",
     "redei_g_parts",
     "row_matrix",
@@ -117,11 +116,6 @@ def build_twist(f: FactoredInteger) -> TwistData:
     y = F2Vector.from_bits(legendre_plus(-1, p) for p in primes)
     z = F2Vector.from_bits(legendre_plus(2, p) for p in primes)
     return TwistData(f=f, y=y, z=z, a=twist_matrix(primes))
-
-
-def diag(v: F2Vector) -> F2Matrix:
-    """Diagonal matrix with (D_v)_ii = v_i."""
-    return F2Matrix.diag(v)
 
 
 def redei_g_parts(a: F2Matrix, z: F2Vector, n_mod4: int) -> int:

@@ -2,7 +2,8 @@
 
 Everything downstream consumes bits produced here: Legendre/Jacobi
 symbols in additive (F2) form, and squarefree integers together with
-their ordered odd prime factors.
+their ordered odd prime factors.  Both come n by n (the reference) or in
+bulk as numpy arrays (`factor_squarefree_range`, `legendre_plus_bulk`).
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ __all__ = [
     "sieve_init",
     "factor_squarefree",
     "try_factor_squarefree",
+    "factor_squarefree_range",
     "jacobi",
     "legendre",
     "legendre_plus",
+    "legendre_plus_bulk",
     "is_square_class",
     "is_squarefree_small",
     "enumerate_squarefree",
@@ -116,6 +119,43 @@ def try_factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger | None:
     return FactoredInteger(n=n, odd_primes=tuple(primes), is_even=is_even)
 
 
+def factor_squarefree_range(
+    lo: int, hi: int, sieve: PrimeSieve, residue: int = 0, modulus: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree n in [lo, hi) with n = residue (mod modulus), factored
+    together.
+
+    Returns (ns, primes): ns ascending, and row k of the (count, r_max)
+    int64 array primes holds the odd primes of ns[k] ascending, zero
+    padded on the right.  The numpy mirror of `try_factor_squarefree`:
+    every n is divided by its smallest prime factor in the same pass.
+    """
+    if hi - 1 > sieve.limit:
+        raise ValueError(f"range end {hi - 1} exceeds sieve limit {sieve.limit}")
+    lo = max(lo, 1)
+    ns = np.arange(lo + (residue - lo) % modulus, hi, modulus, dtype=np.int64)
+    m = np.where(ns % 2 == 0, ns // 2, ns)
+    ok = m % 2 == 1  # n not divisible by 4
+    m[~ok] = 1
+    spf = sieve.spf
+    cols = []
+    idx = np.flatnonzero(m > 1)
+    while idx.size:
+        p = spf[m[idx]].astype(np.int64)
+        m[idx] //= p
+        bad = m[idx] % p == 0
+        ok[idx[bad]] = False
+        m[idx[bad]] = 1
+        cols.append((idx, p))
+        idx = idx[m[idx] > 1]
+    primes = np.zeros((ns.size, len(cols)), dtype=np.int64)
+    for j, (idx, p) in enumerate(cols):
+        primes[idx, j] = p
+    primes = primes[ok]
+    r_max = int((primes != 0).sum(axis=1).max(initial=0))
+    return ns[ok], primes[:, :r_max]
+
+
 def factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger:
     """Like try_factor_squarefree but raising NotSquarefreeError."""
     f = try_factor_squarefree(n, sieve)
@@ -158,6 +198,30 @@ def legendre(d: int, p: int) -> int:
 def legendre_plus(d: int, p: int) -> int:
     """Additive Legendre symbol: 0 for residues, 1 for non-residues."""
     return (1 - legendre(d, p)) // 2
+
+
+# Euler's criterion multiplies two residues below p in int64.
+_EULER_MAX_P = 2 ** 31
+
+
+def legendre_plus_bulk(d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Additive Legendre symbols (d/p)_+ elementwise, for odd primes p not
+    dividing d, by Euler's criterion: d^((p-1)/2) is 1 or -1 mod p.
+
+    d and p broadcast against each other; returns uint8 0/1.
+    """
+    p = np.asarray(p, dtype=np.int64)
+    if p.size and int(p.max()) >= _EULER_MAX_P:
+        raise ValueError(f"Euler's criterion needs p < 2**31 in int64, got {int(p.max())}")
+    base, p = np.broadcast_arrays(np.asarray(d, dtype=np.int64) % p, p)
+    if (base == 0).any():
+        raise ValueError("p divides d")
+    e = (p - 1) >> 1
+    acc = np.ones_like(p)
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        acc = np.where((e >> bit) & 1 == 1, acc * base % p, acc)
+        base = base * base % p
+    return (acc != 1).astype(np.uint8)
 
 
 def _square_classes_mod(mod: int) -> frozenset[int]:

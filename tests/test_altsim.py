@@ -24,6 +24,7 @@ from cnkit.altsim import (
     equivalence_check,
     family_members,
     four_rank,
+    four_rank_batch,
     gerth_pmf,
     markov_stationary,
     markov_step,
@@ -35,6 +36,7 @@ from cnkit.gf2 import F2Matrix
 from cnkit.lfun import LCache
 from cnkit.numtheory import (
     ResourceLimitError,
+    enumerate_squarefree,
     factor_squarefree,
     sieve_init,
     try_factor_squarefree,
@@ -362,6 +364,30 @@ def test_four_rank_against_oracle(sieve):
         if f is None:
             continue
         assert four_rank(f) == classgroup_oracle(f).four_rank, n
+
+
+def test_four_rank_batch_matches_scalar_to_1e5(sieve):
+    # Every squarefree n = 3 (mod 4) up to 1e5, factored by the scalar path
+    # and stacked by r; compared n by n with the scalar four_rank.
+    by_r: dict[int, list] = {}
+    for f in enumerate_squarefree(3, 4, sieve.limit, sieve):
+        by_r.setdefault(f.r, []).append(f)
+    assert sorted(by_r) == [1, 2, 3, 4, 5]
+    for r, fs in by_r.items():
+        got = four_rank_batch(np.array([f.odd_primes for f in fs]).reshape(len(fs), r))
+        assert got.shape == (len(fs),)
+        for f, k in zip(fs, got.tolist()):
+            assert k == four_rank(f), f.n
+
+
+def test_four_rank_batch_edges():
+    # r = 1: an empty minor, 4-rank 0.
+    assert four_rank_batch(np.array([[3], [7], [11], [19]])).tolist() == [0, 0, 0, 0]
+    assert four_rank_batch(np.array([[3, 13]])).tolist() == [1]  # n = 39
+    with pytest.raises(ValueError):
+        four_rank_batch(np.array([[5]]))
+    with pytest.raises(ValueError):
+        four_rank_batch(np.array([[3, 7]]))  # 21 = 1 (mod 4)
 
 
 def test_four_rank_index_independence(sieve):

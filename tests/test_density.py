@@ -124,6 +124,22 @@ def test_census_small(sieve):
     assert census.counts == direct
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 65536, 65537, 65539])
+def test_census_edge_limits(sieve, limit):
+    # limit < 3 has no n; 65536 ends the first block, 65537 and 65539
+    # open a second block of one and three integers.
+    from cnkit.altsim import four_rank
+    from cnkit.numtheory import enumerate_squarefree
+
+    direct: dict[int, int] = {}
+    for f in enumerate_squarefree(3, 4, limit, sieve):
+        k = four_rank(f)
+        direct[k] = direct.get(k, 0) + 1
+    census = fourrank_census(limit, sieve)
+    assert census.counts == direct
+    assert census.total == sum(direct.values())
+
+
 def test_census_worker_independence(sieve):
     limit = (1 << 16) + 30000
     seq = fourrank_census(limit, sieve, workers=1)

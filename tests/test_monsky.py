@@ -11,7 +11,6 @@ from cnkit.monsky import (
     aux_t,
     build_twist,
     det_recursion_rhs,
-    diag,
     form_coranks,
     random_constrained_triple,
     rank3_indicator,
@@ -75,16 +74,6 @@ def test_twist_entries_are_symbols(sieve):
             for j, q in enumerate(f.odd_primes):
                 if i != j:
                     assert t.a[i, j] == legendre_plus(q, p)
-
-
-def test_diag():
-    assert diag(F2Vector.from_bits([1, 0, 1])).tolist() == [
-        [1, 0, 0],
-        [0, 0, 0],
-        [0, 0, 1],
-    ]
-    assert diag(F2Vector.zeros(0)).nrows == 0
-    assert diag(F2Vector.from_bits([1, 1])).tolist() == [[1, 0], [0, 1]]
 
 
 def test_redei_g_examples(sieve):

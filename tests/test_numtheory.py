@@ -7,11 +7,13 @@ from cnkit.numtheory import (
     ResourceLimitError,
     enumerate_squarefree,
     factor_squarefree,
+    factor_squarefree_range,
     is_square_class,
     is_squarefree_small,
     jacobi,
     legendre,
     legendre_plus,
+    legendre_plus_bulk,
     sieve_init,
     try_factor_squarefree,
 )
@@ -164,3 +166,78 @@ def test_is_squarefree_small(sieve):
 def test_factored_integer_r():
     f = FactoredInteger(n=1, odd_primes=(), is_even=False)
     assert f.r == 0 and f.odd_part() == 1
+
+
+def _scalar_range(lo, hi, sieve, residue=0, modulus=1):
+    out = []
+    for n in range(max(lo, 1), hi):
+        if n % modulus == residue % modulus:
+            f = try_factor_squarefree(n, sieve)
+            if f is not None:
+                out.append((n, f.odd_primes))
+    return out
+
+
+def _bulk_range(lo, hi, sieve, residue=0, modulus=1):
+    ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
+    assert ns.dtype == primes.dtype == np.int64 and len(ns) == len(primes)
+    return [(int(n), tuple(int(p) for p in row if p)) for n, row in zip(ns, primes)]
+
+
+def test_factor_squarefree_range_matches_scalar(sieve):
+    # Every n <= 1e5, even and non-squarefree n included.
+    got = _bulk_range(1, sieve.limit + 1, sieve)
+    assert got == _scalar_range(1, sieve.limit + 1, sieve)
+    assert len(got) == 60794
+    ns, primes = factor_squarefree_range(1, sieve.limit + 1, sieve)
+    assert primes.shape[1] == max(len(ps) for _, ps in got)
+    # Zero padding only on the right; the ascending order is checked above.
+    r = (primes != 0).sum(axis=1)
+    assert ((primes != 0) == (np.arange(primes.shape[1]) < r[:, None])).all()
+
+
+@pytest.mark.parametrize(
+    "lo,hi,residue,modulus",
+    [(1, 100001, 3, 4), (65536, 65540, 3, 4), (-5, 40, 6, 8), (99990, 100001, 1, 2), (10, 10, 0, 1)],
+)
+def test_factor_squarefree_range_slices(sieve, lo, hi, residue, modulus):
+    assert _bulk_range(lo, hi, sieve, residue, modulus) == _scalar_range(
+        lo, hi, sieve, residue, modulus
+    )
+
+
+def test_factor_squarefree_range_edges(sieve):
+    ns, primes = factor_squarefree_range(1, 3, sieve)
+    assert ns.tolist() == [1, 2] and primes.shape == (2, 0)
+    ns, primes = factor_squarefree_range(1, 3, sieve, residue=3, modulus=4)
+    assert ns.size == 0 and primes.shape == (0, 0)
+    with pytest.raises(ValueError):
+        factor_squarefree_range(1, sieve.limit + 2, sieve)
+
+
+def test_legendre_plus_bulk_matches_scalar(sieve):
+    primes = np.array([p for p in range(3, 2000, 2) if sieve.is_prime(p)])
+    d, p = np.meshgrid(primes, primes)  # d varies along rows, p down columns
+    off = d != p
+    got = legendre_plus_bulk(d[off], p[off])
+    want = [legendre_plus(int(a), int(b)) for a, b in zip(d[off], p[off])]
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
+    for dd in (-1, 2, -2, 1):
+        assert legendre_plus_bulk(dd, primes).tolist() == [legendre_plus(dd, int(q)) for q in primes]
+
+
+def test_legendre_plus_bulk_rejects_overflow_and_zero():
+    # Euler's criterion would square residues near 2**31 in int64.
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        legendre_plus_bulk(np.array([3]), np.array([2 ** 31 + 11]))
+    with pytest.raises(ValueError):
+        legendre_plus_bulk(np.array([3, 5]), np.array([7, 2 ** 40]))
+    with pytest.raises(ValueError, match="divides"):
+        legendre_plus_bulk(np.array([21]), np.array([7]))
+    # The largest prime below 2**31 is still served.
+    p = 2 ** 31 - 1
+    assert legendre_plus_bulk(np.array([-1, 2]), np.array([p, p])).tolist() == [
+        legendre_plus(-1, p),
+        legendre_plus(2, p),
+    ]
