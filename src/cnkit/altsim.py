@@ -26,14 +26,13 @@ from ._batchrank import pack_rows, rank_batch
 from .classgroup import ClassGroupInfo, classgroup_oracle
 from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
-from .monsky import twist_matrix
+from .monsky import twist_batch, twist_matrix
 from .numtheory import (
     FactoredInteger,
     ResourceLimitError,
     is_square_class,
     is_squarefree_small,
     jacobi,
-    legendre_plus_bulk,
 )
 
 __all__ = [
@@ -710,10 +709,8 @@ def four_rank_batch(primes: np.ndarray) -> np.ndarray:
     """`four_rank` for a stack of odd n = 3 (mod 4) with r primes each.
 
     Row k of the (count, r) array primes holds the odd primes of the k-th
-    n, ascending.  A is built as `twist_matrix` builds it, with Euler's
-    criterion for the symbols above the diagonal and quadratic reciprocity
-    for those below; all the (r-1)-minors are ranked in one `rank_batch`
-    call.
+    n, ascending.  A comes from `monsky.twist_batch`, and all the
+    (r-1)-minors are ranked in one `rank_batch` call.
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape
@@ -721,13 +718,5 @@ def four_rank_batch(primes: np.ndarray) -> np.ndarray:
         raise ValueError("four_rank_batch needs n = 3 (mod 4)")
     if r < 2:
         return np.zeros(count, dtype=np.int64)
-    i, j = np.triu_indices(r, 1)
-    upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
-    # (p_i/p_j) and (p_j/p_i) differ iff both primes are 3 (mod 4).
-    flip = (primes[:, i] % 4 == 3) & (primes[:, j] % 4 == 3)
-    a = np.zeros((count, r, r), dtype=np.uint8)
-    a[:, i, j] = upper
-    a[:, j, i] = upper ^ flip
-    ii = np.arange(r)
-    a[:, ii, ii] = a.sum(axis=2, dtype=np.int64) & 1
+    a = twist_batch(primes)[0]
     return (r - 1) - rank_batch(pack_rows(a[:, 1:, 1:]))

@@ -26,6 +26,7 @@ import json
 import os
 import struct
 import sys
+import tempfile
 
 import numpy as np
 
@@ -55,7 +56,7 @@ EXIT_RESOURCE = 2
 EXIT_USAGE = 3
 
 _SIEVE_MAGIC = b"CNKSPF"
-_SIEVE_VERSION = 1
+_SIEVE_VERSION = 2
 SIEVE_CACHE_ENV = "CNKIT_SIEVE_CACHE"
 
 
@@ -69,28 +70,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def save_sieve(sieve: PrimeSieve, path: str) -> None:
-    """Write the sieve as a versioned little-endian word table."""
-    with open(path, "wb") as fh:
-        fh.write(_SIEVE_MAGIC)
-        fh.write(struct.pack("<IQ", _SIEVE_VERSION, sieve.limit))
-        fh.write(sieve.spf.astype("<u4").tobytes())
+    """Write the sieve as a versioned little-endian word table.
+
+    The header holds the magic, the version, the limit and the SHA-256 of
+    the words.  The file is written under a temporary name and moved into
+    place, so a reader never sees a partly written cache.
+    """
+    words = sieve.spf.astype("<u4").tobytes()
+    header = _SIEVE_MAGIC + struct.pack("<IQ", _SIEVE_VERSION, sieve.limit)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header + hashlib.sha256(words).digest() + words)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_sieve(path: str) -> PrimeSieve | None:
+    """The cached sieve, or None when the file is missing, of another
+    version, truncated or fails its checksum."""
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(len(_SIEVE_MAGIC))
-            if magic != _SIEVE_MAGIC:
-                return None
-            version, limit = struct.unpack("<IQ", fh.read(12))
-            if version != _SIEVE_VERSION:
-                return None
-            data = np.frombuffer(fh.read(), dtype="<u4")
-            if len(data) != limit + 1:
-                return None
-            return PrimeSieve(limit=int(limit), spf=data.astype(np.uint32))
+            blob = fh.read()
     except OSError:
         return None
+    head = len(_SIEVE_MAGIC) + 12
+    if len(blob) < head + 32 or not blob.startswith(_SIEVE_MAGIC):
+        return None
+    version, limit = struct.unpack("<IQ", blob[len(_SIEVE_MAGIC) : head])
+    digest, words = blob[head : head + 32], blob[head + 32 :]
+    if version != _SIEVE_VERSION or len(words) != 4 * (limit + 1):
+        return None
+    if hashlib.sha256(words).digest() != digest:
+        return None
+    return PrimeSieve(limit=int(limit), spf=np.frombuffer(words, dtype="<u4").astype(np.uint32))
 
 
 def _obtain_sieve(limit: int) -> PrimeSieve:

@@ -6,18 +6,22 @@ runs merge associatively and any worker count produces byte-identical
 reports.  Every scanned n is also pushed through the row identities as a
 standing cross-check.
 
-Within a block the two columns of the row identities are computed apart.
-The divisor sums are evaluated n by n.  The determinant column is
-batched: the twist data of each n is buffered by its prime count r, and
-a full buffer of CHUNK twists (or what is left at the end of the block)
-has every applicable row form, plus the residue-1 or residue-2 form that
-gives the Selmer rank, ranked in one `monsky.form_coranks` call.  The
-chunk bounds the memory a block holds.
+A scan builds its inputs in bulk and keeps only the divisor sums
+scalar.  Each call first tabulates g(d) for every squarefree d up to its
+limit (`monsky.redei_g_table`), once, and hands the table to one LCache
+(per worker in the pool path).  Each block is cut into slices of
+8 * CHUNK integers; a slice is factored at once
+(`numtheory.factor_squarefree_range`), and for the n of each prime
+count r the divisor sums are evaluated n by n from the table, while the
+twist symbols come from one `monsky.twist_batch` call and every
+applicable row form, plus the residue-1 or residue-2 form that gives the
+Selmer rank, is ranked in one `monsky.form_coranks` call.  The two
+columns share the factorization and the symbols but no form: a wrong g
+or a wrong row form shows as an identity mismatch.
 
 The census has no divisor sums and runs in numpy throughout: each block
-is cut into slices, a slice is factored at once
-(`numtheory.factor_squarefree_range`), and its n of each prime count r
-get their 4-ranks from one `altsim.four_rank_batch` call.
+is cut into slices, a slice is factored at once, and its n of each prime
+count r get their 4-ranks from one `altsim.four_rank_batch` call.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ from .monsky import (
     build_twist,
     form_coranks,
     rank3_indicator,
+    redei_g_table,
     rows_for_residue,
+    twist_batch,
 )
 from .numtheory import (
+    FactoredInteger,
     PrimeSieve,
     factor_squarefree_range,
     sieve_init,
@@ -167,8 +174,10 @@ class FourRankCensus:
 
 
 # Per-worker state: the sieve is built once per process by the pool
-# initializer (cheap next to the scan itself) and shared by its blocks.
+# initializer (cheap next to the scan itself) and shared by its blocks;
+# a scan worker also keeps one LCache, over the g table of its scan call.
 _WORKER_SIEVE: dict[int, PrimeSieve] = {}
+_WORKER_CACHE: LCache | None = None
 
 
 def _get_sieve(limit: int) -> PrimeSieve:
@@ -179,42 +188,46 @@ def _get_sieve(limit: int) -> PrimeSieve:
     return sieve
 
 
-def _init_worker(limit: int) -> None:
+def _init_worker(limit: int, gtable: bytes | None = None) -> None:
+    global _WORKER_CACHE
     _get_sieve(limit)
+    if gtable is not None:
+        _WORKER_CACHE = LCache(gtable=gtable)
 
 
-def _scan_block(args) -> DensityReport:
+def _scan_block(args, cache: LCache | None = None) -> DensityReport:
+    """Scan one block; cache is the scan's LCache, or the worker's one in
+    the pool path."""
     residue, sieve_limit, lo, hi = args
     sieve = _get_sieve(sieve_limit)
-    cache = LCache()
+    if cache is None:
+        cache = _WORKER_CACHE
     rep = DensityReport(residue=residue, limit=sieve_limit)
     rows = rows_for_residue(residue)
-    pending: dict[int, list] = {}
-    start = lo + (residue - lo) % 8
-    for n in range(start, hi, 8):
-        f = try_factor_squarefree(n, sieve)
-        if f is None:
-            continue
-        rep.squarefree_count += 1
-        twist = build_twist(f)
-        sums = tuple(divisor_sum(row, f, cache, twist) for row in rows)
-        chunk = pending.setdefault(f.r, [])
-        chunk.append((sums, twist.a.rows, twist.y.bits, twist.z.bits))
-        if len(chunk) >= CHUNK:
-            _tally(rep, f.r, pending.pop(f.r))
-    for r, chunk in pending.items():
-        _tally(rep, r, chunk)
+    # A slice of 8 * CHUNK integers holds at most CHUNK n = residue (mod
+    # 8), which bounds the twists ranked together.
+    for s_lo, s_hi in _spans(lo, hi, 8 * CHUNK):
+        ns, primes = factor_squarefree_range(s_lo, s_hi, sieve, residue, 8)
+        rep.squarefree_count += ns.size
+        r = (primes != 0).sum(axis=1)
+        for rv in np.unique(r).tolist():
+            pick = r == rv
+            stack = primes[pick, :rv]
+            sums = []
+            for n, odd_primes in zip(ns[pick].tolist(), stack.tolist()):
+                f = FactoredInteger(n, tuple(odd_primes), n % 2 == 0)
+                sums.append([divisor_sum(row, f, cache) for row in rows])
+            _tally(rep, sums, *twist_batch(stack))
     return rep
 
 
-def _tally(rep: DensityReport, r: int, chunk: list) -> None:
-    """Add a chunk of same-r twists, given as (divisor sums, a.rows,
-    y.bits, z.bits), to the report."""
+def _tally(rep: DensityReport, sums: list, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+    """Add a stack of same-r n, given by their divisor sums (one list per
+    n) and their `twist_batch` arrays, to the report."""
     rows = rows_for_residue(rep.residue)
     form, value = SELMER_FORM[rep.residue]
     labels = rows if form in rows else rows + (form,)
-    sums, a_rows, y_bits, z_bits = zip(*chunk)
-    coranks = form_coranks(labels, r, a_rows, y_bits, z_bits)
+    coranks = form_coranks(labels, a, y, z)
     sums = np.array(sums, dtype=bool)
     dets = (coranks[: len(rows)] == 0).T
     rep.identity_mismatches += int((sums != dets).any(axis=1).sum())
@@ -247,17 +260,19 @@ def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> Densi
     if limit > sieve.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     _WORKER_SIEVE.setdefault(sieve.limit, sieve)
+    gtable = redei_g_table(limit, sieve, odd_only=residue % 2 == 1)
     blocks = [(residue, sieve.limit, lo, hi) for lo, hi in _spans(1, limit + 1, BLOCK)]
     rep = DensityReport(residue=residue, limit=limit)
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(sieve.limit,)
+            max_workers=workers, initializer=_init_worker, initargs=(sieve.limit, gtable)
         ) as pool:
             for part in pool.map(_scan_block, blocks):
                 rep.merge(part)
     else:
+        cache = LCache(gtable=gtable)
         for blk in blocks:
-            rep.merge(_scan_block(blk))
+            rep.merge(_scan_block(blk, cache))
     return rep
 
 
@@ -274,22 +289,20 @@ def certified_table(
         raise ValueError(f"certification applies to residues 5, 6, 7; got {residue}")
     if limit > sieve.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
-    cache = LCache()
+    cache = LCache(gtable=redei_g_table(limit, sieve, odd_only=residue % 2 == 1))
     rows = rows_for_residue(residue)
-    start = residue
-    for n in range(start, limit + 1, 8):
+    for n in range(residue, limit + 1, 8):
         f = try_factor_squarefree(n, sieve)
         if f is None:
             continue
-        twist = build_twist(f)
         for row in rows:
-            value = divisor_sum(row, f, cache, twist)
+            value = divisor_sum(row, f, cache)
             if value:
                 yield Certificate(
                     n=n,
                     residue=residue,
                     row=row,
-                    rank3=rank3_indicator(twist),
+                    rank3=rank3_indicator(build_twist(f)),
                     value=value,
                 )
                 break

@@ -3,8 +3,11 @@
 These are the arithmetic side of the row identities: each residue row
 pairs a divisor sum built from g and the recursive parity function with
 a determinant form from monsky.  The divisor sums iterate literally over
-(pairs of coprime) divisors; g and the parity function are memoized by
-integer value since the same divisors recur across a scan.
+(pairs of coprime) divisors; the parity function is memoized by integer
+value since the same divisors recur across a scan.  g is read from a
+`monsky.redei_g_table` when the cache holds one (scans and certified
+tables build one per call), and otherwise computed from the restricted
+twist data with `monsky.redei_g_parts` and memoized like the parity.
 
 Divisors of squarefree n are encoded as (mask over odd primes, power of
 2), so subset iteration covers them exactly once.  Their subset products
@@ -35,45 +38,52 @@ class LCache:
 
     Values are keyed by the integer they belong to, so caches can be
     shared across every n of a scan.  Single writer per cache; share
-    read-only or keep one per worker.  `ctx` holds the divisor context
-    of the last twist seen, so the rows of one n share it.
+    read-only or keep one per worker.  `gtable`, when set, is a
+    `monsky.redei_g_table` that covers every divisor the cache is asked
+    about (odd ones only if it was built odd-only); g is then read from it
+    instead of being computed into `gvals`.  `ctx` holds the divisor
+    context of the last n seen, so the rows of one n share it.
     """
 
     lvals: dict[int, int] = field(default_factory=dict)
     gvals: dict[int, int] = field(default_factory=dict)
+    gtable: bytes | None = field(default=None, repr=False)
     ctx: "_Ctx | None" = field(default=None, repr=False, compare=False)
 
 
 class _Ctx:
-    """Divisor bookkeeping for one squarefree n: subset products and
-    restrictions of the twist data."""
+    """Divisor bookkeeping for one squarefree n: subset products, and the
+    twist data restricted to a divisor when a g must be computed."""
 
-    __slots__ = ("twist", "prods", "lvals", "gvals", "members")
+    __slots__ = ("f", "twist", "prods", "lvals", "gvals", "gtable")
 
-    def __init__(self, twist: TwistData, cache: LCache):
+    def __init__(self, f: FactoredInteger, cache: LCache, twist: TwistData | None):
         # The memo tables, not the cache itself: the cache keeps its last
         # context, and a reference back would make a cycle that only the
         # cyclic collector frees.
+        self.f = f
         self.twist = twist
         self.lvals = cache.lvals
         self.gvals = cache.gvals
-        primes = twist.f.odd_primes
+        self.gtable = cache.gtable
+        primes = f.odd_primes
         r = len(primes)
         prods = [1] * (1 << r)
         for mask in range(1, 1 << r):
             low = (mask & -mask).bit_length() - 1
             prods[mask] = prods[mask & (mask - 1)] * primes[low]
         self.prods = prods
-        self.members = [
-            tuple(i + 1 for i in range(r) if (mask >> i) & 1) for mask in range(1 << r)
-        ]
 
     def g(self, mask: int, with2: bool) -> int:
         d = self.prods[mask] * (2 if with2 else 1)
+        if self.gtable is not None:
+            return self.gtable[d]
         got = self.gvals.get(d)
         if got is not None:
             return got
-        members = self.members[mask]
+        if self.twist is None:
+            self.twist = build_twist(self.f)
+        members = tuple(i + 1 for i in range(self.f.r) if (mask >> i) & 1)
         a_s = gf2.rows_normalized(self.twist.a, members, members)
         z_s = self.twist.z.restrict(members)
         val = redei_g_parts(a_s, z_s, 2 if with2 else d % 4)
@@ -108,11 +118,11 @@ class _Ctx:
 
 
 def _ctx(f: FactoredInteger, cache: LCache, twist: TwistData | None) -> _Ctx:
-    """The divisor context of n, built once per twist and kept in the cache."""
+    """The divisor context of n, built once per n and kept in the cache."""
     last = cache.ctx
-    if twist is not None and last is not None and last.twist is twist:
+    if last is not None and last.f is f:
         return last
-    ctx = _Ctx(twist if twist is not None else build_twist(f), cache)
+    ctx = _Ctx(f, cache, twist)
     cache.ctx = ctx
     return ctx
 

@@ -6,11 +6,13 @@ symbols, the Redei determinant g(n) detecting trivial 4-rank of
 Cl(Q(sqrt(-n))), the eight residue-row determinant forms, the auxiliary
 block matrices used to relate them, and the 2-Selmer rank formulas.
 
-The scalar forms (`row_matrix_parts`, `row_det`, `rank3_indicator`,
-`selmer_rank`) are the readable reference.  Scans use their batched
-mirror: `row_matrix_batch` assembles one form for a stack of same-r
-twists as a (count, m, m) bit array, and `form_coranks` ranks several
-forms of such a stack with one `rank_batch` call.
+The scalar code (`build_twist`, `redei_g_parts`, `row_matrix_parts`,
+`row_det`, `rank3_indicator`, `selmer_rank`) is the readable reference.
+Scans use its batched mirror: `twist_batch` builds (A, y, z) for a stack
+of same-r n as uint8 arrays, `redei_g_table` tabulates g(d) for every
+squarefree d up to a limit, `row_matrix_batch` assembles one form for a
+stack of same-r twists as a (count, m, m) bit array, and `form_coranks`
+ranks several forms of such a stack with one `rank_batch` call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ import numpy as np
 from . import gf2
 from ._batchrank import pack_rows, rank_batch
 from .gf2 import F2Matrix, F2Vector
-from .numtheory import FactoredInteger, legendre_plus
+from .numtheory import (
+    FactoredInteger,
+    PrimeSieve,
+    factor_squarefree_range,
+    legendre_plus,
+    legendre_plus_bulk,
+)
 
 __all__ = [
     "ROW_LABELS",
@@ -33,8 +41,10 @@ __all__ = [
     "rows_for_residue",
     "twist_matrix",
     "build_twist",
+    "twist_batch",
     "redei_g",
     "redei_g_parts",
+    "redei_g_table",
     "row_matrix",
     "row_matrix_parts",
     "row_det",
@@ -118,6 +128,30 @@ def build_twist(f: FactoredInteger) -> TwistData:
     return TwistData(f=f, y=y, z=z, a=twist_matrix(primes))
 
 
+def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`build_twist` for a stack of squarefree n with r odd primes each.
+
+    Row k of the (count, r) array primes holds the odd primes of the k-th
+    n, ascending.  Returns (a, y, z) as 0/1 uint8 arrays of shapes
+    (count, r, r), (count, r) and (count, r).  y and z come from p mod 8,
+    the symbols of A above the diagonal from Euler's criterion, those
+    below by quadratic reciprocity (A_ij + A_ji = y_i y_j), and the
+    diagonal from the row sums.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    count, r = primes.shape
+    y = (primes % 4 == 3).astype(np.uint8)
+    z = ((primes % 8 == 3) | (primes % 8 == 5)).astype(np.uint8)
+    i, j = np.triu_indices(r, 1)
+    upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
+    a = np.zeros((count, r, r), dtype=np.uint8)
+    a[:, i, j] = upper
+    a[:, j, i] = upper ^ (y[:, i] & y[:, j])
+    ii = np.arange(r)
+    a[:, ii, ii] = a.sum(axis=2, dtype=np.int64) & 1
+    return a, y, z
+
+
 def redei_g_parts(a: F2Matrix, z: F2Vector, n_mod4: int) -> int:
     """Redei determinant from (A, z) for the residue class n mod 4.
 
@@ -144,6 +178,43 @@ def redei_g(f: FactoredInteger) -> int:
     t = build_twist(f)
     mod4 = 2 if f.is_even else f.n % 4
     return redei_g_parts(t.a, t.z, mod4)
+
+
+# Integers per slice of `redei_g_table`: larger slices pay off little and
+# raise the peak memory of a scan.
+_G_SLICE = 1 << 13
+
+
+def redei_g_table(limit: int, sieve: PrimeSieve, odd_only: bool = False) -> bytes:
+    """g(d) for every squarefree d <= limit, as one byte per d.
+
+    Entry d is `redei_g` of d for squarefree d, 0 for the other d and, with
+    odd_only, 0 for every even d.  Built slice by slice: each slice is
+    factored at once, and its d of each prime count r get their forms of
+    `redei_g_parts` as r x r matrices, ranked in one `rank_batch` call:
+    A with its first column replaced by z for d = 1 (mod 4) (a column
+    permutation of [A without column 1 | z]), A + D_z for even d, and A
+    with its first row and column replaced by those of the identity for
+    d = 3 (mod 4).
+    """
+    table = np.zeros(max(limit, 0) + 1, dtype=np.uint8)
+    table[1 : 2 if odd_only else 3] = 1  # g(1) = g(2) = 1
+    modulus = 2 if odd_only else 1
+    for lo in range(1, limit + 1, _G_SLICE):
+        ds, primes = factor_squarefree_range(lo, min(lo + _G_SLICE, limit + 1), sieve, 1, modulus)
+        r = (primes != 0).sum(axis=1)
+        for rv in range(1, primes.shape[1] + 1):
+            pick = r == rv
+            d = ds[pick]
+            a, _, z = twist_batch(primes[pick, :rv])
+            one, three, even = d % 4 == 1, d % 4 == 3, d % 2 == 0
+            a[one, :, 0] = z[one]
+            a[three, 0, :] = 0
+            a[three, :, 0] = 0
+            a[three, 0, 0] = 1
+            a[even] ^= z[even, :, None] * np.eye(rv, dtype=np.uint8)
+            table[d] = rank_batch(pack_rows(a)) == rv
+    return table.tobytes()
 
 
 def _b_mat(a: F2Matrix) -> F2Matrix:
@@ -271,32 +342,18 @@ def row_matrix_batch(row: str, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> n
     return np.block(grid)
 
 
-def _bit_array(values: Sequence, r: int) -> np.ndarray:
-    """Unpack ints (or tuples of ints) of r bits each into a trailing
-    axis of r 0/1 entries, bit j at index j."""
-    ints = np.array(values, dtype=np.int64)
-    return ((ints[..., None] >> np.arange(r)) & 1).astype(np.uint8)
-
-
 def form_coranks(
-    labels: Sequence[str],
-    r: int,
-    a_rows: Sequence[tuple[int, ...]],
-    y_bits: Sequence[int],
-    z_bits: Sequence[int],
+    labels: Sequence[str], a: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Coranks of the forms `labels` for a stack of twists with r odd primes.
+    """Coranks of the forms `labels` for a stack of same-r twists.
 
-    Entry k of a_rows, y_bits and z_bits is a.rows, y.bits and z.bits of
-    the k-th twist.  Every form is padded to the largest size m by an
-    identity block, which adds to the rank and leaves the corank alone,
-    so all of them are ranked in one `rank_batch` call.  Returns a
+    a, y and z are the (count, r, r), (count, r) and (count, r) 0/1 uint8
+    arrays of `twist_batch`.  Every form is padded to the largest size m
+    by an identity block, which adds to the rank and leaves the corank
+    alone, so all of them are ranked in one `rank_batch` call.  Returns a
     (len(labels), count) array; corank 0 means determinant 1.
     """
-    count = len(a_rows)
-    a = _bit_array(a_rows, r).reshape(count, r, r)
-    y = _bit_array(y_bits, r)
-    z = _bit_array(z_bits, r)
+    count = a.shape[0]
     forms = [row_matrix_batch(label, a, y, z) for label in labels]
     m = max(form.shape[-1] for form in forms)
     w = (m + 63) // 64

@@ -207,3 +207,18 @@ def test_scan_chunk_independence(monkeypatch, residue):
     small = scan(residue, limit, sieve)
     assert small == default
     assert par == default
+
+
+@pytest.mark.parametrize("residue", [1, 5, 6, 7])
+def test_scan_edge_limits(sieve, residue):
+    # 0 and 1 scan at most n = 1; 5 and 8 end inside the first slice;
+    # 65536 ends the first block, 65537 and 65543 open a second block of
+    # one and seven integers.
+    for limit in (0, 1, 5, 8, 65536, 65537, 65543):
+        assert scan(residue, limit, sieve) == _scalar_scan(residue, limit, sieve), limit
+
+
+def test_scan_workers_across_blocks():
+    limit = 140_000  # three blocks
+    sieve = sieve_init(limit)
+    assert scan(6, limit, sieve, workers=2) == scan(6, limit, sieve, workers=1)

@@ -15,12 +15,14 @@ from cnkit.monsky import (
     random_constrained_triple,
     rank3_indicator,
     redei_g,
+    redei_g_table,
     row_det,
     row_matrix,
     row_matrix_batch,
     row_matrix_parts,
     rows_for_residue,
     selmer_rank,
+    twist_batch,
 )
 from cnkit.numtheory import factor_squarefree, legendre_plus, sieve_init, try_factor_squarefree
 
@@ -333,10 +335,9 @@ def test_form_coranks_match_scalar_to_1e5(sieve):
         labels = tuple(dict.fromkeys(rows + ("1", "2")))
         coranks = form_coranks(
             labels,
-            r,
-            [tw.a.rows for tw in twists],
-            [tw.y.bits for tw in twists],
-            [tw.z.bits for tw in twists],
+            np.array([_bits(tw.a.rows, r) for tw in twists]).reshape(len(twists), r, r),
+            _bits([tw.y.bits for tw in twists], r),
+            _bits([tw.z.bits for tw in twists], r),
         )
         for k, tw in enumerate(twists):
             got = dict(zip(labels, coranks[:, k].tolist()))
@@ -345,3 +346,38 @@ def test_form_coranks_match_scalar_to_1e5(sieve):
             for form in ("1", "2"):
                 want = gf2.corank(row_matrix_parts(form, tw.a, tw.y, tw.z))
                 assert got[form] == want, (tw.f.n, form)
+
+
+def test_twist_batch_matches_build_twist_to_1e5(sieve):
+    """twist_batch equals build_twist for every squarefree n <= 1e5, the
+    even n and r = 0 included, stacked by r."""
+    groups = {}
+    for n in range(1, 10 ** 5 + 1):
+        f = try_factor_squarefree(n, sieve)
+        if f is not None:
+            groups.setdefault(f.r, []).append(build_twist(f))
+    assert 0 in groups
+    for r, twists in groups.items():
+        primes = np.array([tw.f.odd_primes for tw in twists], dtype=np.int64)
+        a, y, z = twist_batch(primes.reshape(len(twists), r))
+        assert a.shape == (len(twists), r, r) and a.dtype == np.uint8
+        for k, tw in enumerate(twists):
+            assert a[k].tolist() == tw.a.tolist(), tw.f.n
+            assert y[k].tolist() == tw.y.tolist(), tw.f.n
+            assert z[k].tolist() == tw.z.tolist(), tw.f.n
+
+
+def test_redei_g_table_matches_redei_g_to_1e5(sieve):
+    limit = 10 ** 5
+    table = redei_g_table(limit, sieve)
+    odd = redei_g_table(limit, sieve, odd_only=True)
+    assert len(table) == len(odd) == limit + 1
+    for d in range(1, limit + 1):
+        f = try_factor_squarefree(d, sieve)
+        want = redei_g(f) if f is not None else 0
+        assert table[d] == want, d
+        assert odd[d] == (want if d % 2 else 0), d
+    assert table[0] == odd[0] == 0
+    assert redei_g_table(0, sieve) == b"\x00"
+    assert redei_g_table(2, sieve) == b"\x00\x01\x01"
+    assert redei_g_table(2, sieve, odd_only=True) == b"\x00\x01\x00"
