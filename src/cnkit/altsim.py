@@ -11,12 +11,18 @@ Also here: the two Markov chains (corank steps of +-2 for the ensemble,
 +-1 for class-group 4-ranks), the closed-form limit laws, Monte Carlo
 over bit assignments, and the 4-rank map for n = 3 (mod 4), one n at a
 time or batched over a stack of same-r n.
+
+The Monte Carlo path works on blocks of MC_BLOCK assignments: one draw
+of class indices and upper bits per block, matrices assembled straight
+into the uint64 words of `rank_batch` (no 0/1 matrix is built), and one
+`rank_batch` call.  `build_alt` is the scalar reference for each matrix.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -122,12 +128,14 @@ def validate_config(cfg: AltConfig) -> None:
     for n0 in cfg.n0:
         if gcd(n0, lim) != 1:
             raise ValueError(f"n0={n0} not coprime to 2D={lim}")
-    b = cfg.b_block()
-    if b.nrows != cfg.t or b.ncols != cfg.t:
-        raise ValueError("B block must be t x t")
-    bt = b.transpose()
-    if b.rows != bt.rows or any((row >> i) & 1 for i, row in enumerate(b.rows)):
-        raise ValueError("B block must be alternating")
+    if cfg.b is not None:
+        t, rows = cfg.t, cfg.b.rows
+        if cfg.b.nrows != t or cfg.b.ncols != t:
+            raise ValueError("B block must be t x t")
+        if any(
+            ((rows[i] >> j) ^ (rows[j] >> i)) & 1 for i in range(t) for j in range(i)
+        ) or any((rows[i] >> i) & 1 for i in range(t)):
+            raise ValueError("B block must be alternating")
     b1, b2 = _prod(cfg.q1), _prod(cfg.q2)
     if _is_square(b1) or _is_square(b2) or _is_square(-b1 * b2):
         raise ValueError(f"Q products violate the non-square condition: {b1}, {b2}")
@@ -171,8 +179,11 @@ def _sym_plus(d: int, m: int) -> int:
     return (1 - jacobi(d, m)) // 2
 
 
-def _unit_class_reps(d: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Representatives of (Z/8D)^x modulo squares, plus unit -> rep index."""
+@cache
+def _unit_class_reps(d: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Representatives of (Z/8D)^x modulo squares, and two tables over the
+    residues mod 8D: the rep index of each unit, and its inverse (both 0
+    at non-units).  The result is shared, so the tables are read-only."""
     mod = 8 * d
     units = [u for u in range(1, mod) if gcd(u, mod) == 1]
     squares = {u * u % mod for u in units}
@@ -185,7 +196,12 @@ def _unit_class_reps(d: int) -> tuple[tuple[int, ...], dict[int, int]]:
         reps.append(u)
         for s in squares:
             unit_to_idx[u * s % mod] = idx
-    return tuple(reps), unit_to_idx
+    index = np.zeros(mod, dtype=np.int64)
+    index[list(unit_to_idx)] = list(unit_to_idx.values())
+    inverse = np.zeros(mod, dtype=np.int64)
+    inverse[units] = [pow(u, -1, mod) for u in units]
+    index.flags.writeable = inverse.flags.writeable = False
+    return tuple(reps), index, inverse
 
 
 @dataclass(frozen=True)
@@ -532,7 +548,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def _draw_block(cfg: AltConfig, r: int, rng: np.random.Generator, count: int):
     """Raw per-sample draws: class indices (count, r) and upper-bit
     tables (count, r, r), in a fixed call order for reproducibility."""
-    reps, unit_to_idx = _unit_class_reps(cfg.d)
+    reps, index, inverse = _unit_class_reps(cfg.d)
     mod = 8 * cfg.d
     cls = np.empty((count, r), dtype=np.int64)
     cls[:, : r - 1] = rng.integers(0, len(reps), size=(count, r - 1))
@@ -545,17 +561,12 @@ def _draw_block(cfg: AltConfig, r: int, rng: np.random.Generator, count: int):
     prod = np.ones(count, dtype=np.int64)
     for j in range(r - 1):
         prod = prod * reps_arr[cls[:, j]] % mod
-    inv = np.array([pow(int(x), -1, mod) for x in prod], dtype=np.int64)
-    last_units = targets % mod * inv % mod
-    lookup = np.zeros(mod, dtype=np.int64)
-    for u, i in unit_to_idx.items():
-        lookup[u] = i
-    cls[:, r - 1] = lookup[last_units]
+    cls[:, r - 1] = index[targets % mod * inverse[prod] % mod]
     return cls, upper
 
 
 def _materialize(cfg: AltConfig, cls_row: np.ndarray, upper_tab: np.ndarray):
-    reps, _ = _unit_class_reps(cfg.d)
+    reps = _unit_class_reps(cfg.d)[0]
     r = len(cls_row)
     upper_rows = []
     for i in range(r):
@@ -587,55 +598,75 @@ def draw_assignments(
     return [_materialize(cfg, cls[i], upper[i]) for i in range(count)]
 
 
+def _or_at(rows: np.ndarray, field: np.ndarray, off: int) -> None:
+    """OR the words of a bit field (..., wf) into the word rows (..., w)
+    at bit offset off, spilling into the next word across a boundary."""
+    for f in range(field.shape[-1]):
+        q, s = divmod(off + 64 * f, 64)
+        rows[..., q] |= field[..., f] << np.uint64(s)
+        if s and q + 1 < rows.shape[-1]:
+            rows[..., q + 1] |= field[..., f] >> np.uint64(64 - s)
+
+
 def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Vectorized matrix assembly for a block of assignments; returns
-    packed uint64 rows ready for rank_batch."""
-    reps, _ = _unit_class_reps(cfg.d)
+    """The matrices of a block of assignments as (count, m, w) uint64
+    words ready for rank_batch, the words `pack_rows(build_alt(...))`
+    would give.
+
+    Every r x r block is built as r-bit row fields in words: U and U^T
+    from the drawn table packed along each axis, y.y^T and each B(q) as
+    masks on the packed symbol bits, and the diagonal of A as the parity
+    of its rows.  The fields are then ORed in at their column offsets.
+    """
+    reps = _unit_class_reps(cfg.d)[0]
     tables = _symbol_table(cfg, reps)
     count, r = cls.shape
     t = cfg.t
     m = 2 * r + t
+    ones = np.ones((r, r), dtype=np.uint8)
+    above = pack_rows(np.triu(ones, 1))  # (r, wr): row i holds the bits j > i
+    below = pack_rows(np.tril(ones, -1))
+    eye = pack_rows(np.eye(r, dtype=np.uint8))
 
-    tri_u = np.triu(np.ones((r, r), dtype=np.uint8), 1)
-    tri_l = tri_u.T
-    u = upper & tri_u
-    y = tables[-1][cls]  # (count, r)
-    yy = y[:, :, None] & y[:, None, :]
-    a = u ^ np.transpose(u, (0, 2, 1)) ^ (yy & tri_l)
-    diag = a.sum(axis=2, dtype=np.int64) & 1
-    ii = np.arange(r)
-    a[:, ii, ii] = diag.astype(np.uint8)
+    def sym(dd: int) -> np.ndarray:
+        return tables[dd][cls]
+
+    def masked(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row i of rows (r or count x r, wr) where a sample's bit i is set, else 0."""
+        return rows & (0 - bits.astype(np.uint64))[:, :, None]
 
     def b_block(q: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros((count, r, r), dtype=np.uint8)
+        out = np.zeros((count, r, eye.shape[-1]), dtype=np.uint64)
         for dd in q:
-            qb = tables[dd][cls]
-            out ^= qb[:, :, None] & qb[:, None, :]
-        out[:, ii, ii] = 0
+            qb = sym(dd)
+            out ^= masked(qb, pack_rows(qb)[:, None, :] & ~eye)
         return out
 
-    dbit = tables[cfg.d_diag][cls]
-    a_d = a.copy()
-    a_d[:, ii, ii] ^= dbit
-    at_d = np.transpose(a, (0, 2, 1)).copy()
-    at_d[:, ii, ii] ^= dbit
+    # A = S + (y.y^T below the diagonal), A^T = S + (y.y^T above it), S = U + U^T
+    s = (pack_rows(upper) & above) ^ (pack_rows(upper.transpose(0, 2, 1)) & below)
+    y = sym(-1)
+    yrow = pack_rows(y)[:, None, :]
+    a = s ^ masked(y, yrow & below)
+    at = s ^ masked(y, yrow & above)
+    parity = np.bitwise_count(a).sum(axis=2, dtype=np.uint8) & 1
+    diag = masked(parity ^ sym(cfg.d_diag), eye)
 
-    full = np.zeros((count, m, m), dtype=np.uint8)
-    full[:, :r, :r] = b_block(cfg.q1)
-    full[:, :r, r : 2 * r] = at_d
-    full[:, r : 2 * r, :r] = a_d
-    full[:, r : 2 * r, r : 2 * r] = b_block(cfg.q2)
-    for i, dd in enumerate(cfg.t1):
-        col = tables[dd][cls]
-        full[:, 2 * r + i, :r] = col
-        full[:, :r, 2 * r + i] = col
-    for i, dd in enumerate(cfg.t2):
-        col = tables[dd][cls]
-        full[:, 2 * r + i, r : 2 * r] = col
-        full[:, r : 2 * r, 2 * r + i] = col
-    bseed = np.array(cfg.b_block().tolist(), dtype=np.uint8).reshape(t, t)
-    full[:, 2 * r :, 2 * r :] = bseed
-    return pack_rows(full)
+    words = np.zeros((count, m, (m + 63) // 64), dtype=np.uint64)
+    top, mid, bot = words[:, :r], words[:, r : 2 * r], words[:, 2 * r :]
+    _or_at(top, b_block(cfg.q1), 0)
+    _or_at(top, at | diag, r)
+    _or_at(mid, a | diag, 0)
+    _or_at(mid, b_block(cfg.q2), r)
+    for i, (d1, d2) in enumerate(zip(cfg.t1, cfg.t2)):
+        c1, c2 = sym(d1), sym(d2)
+        _or_at(top, c1[:, :, None].astype(np.uint64), 2 * r + i)  # one-bit columns
+        _or_at(mid, c2[:, :, None].astype(np.uint64), 2 * r + i)
+        _or_at(bot[:, i], pack_rows(c1), 0)
+        _or_at(bot[:, i], pack_rows(c2), r)
+    if cfg.b is not None:
+        seed_rows = np.array(cfg.b.tolist(), dtype=np.uint8).reshape(t, t)
+        _or_at(bot, pack_rows(seed_rows), 2 * r)
+    return words
 
 
 def _mc_block(args) -> np.ndarray:
@@ -667,10 +698,14 @@ def corank_distribution_mc(
         raise ValueError("samples must be positive")
     validate_config(cfg)
     m = 2 * r + cfg.t
-    w = (m + 63) // 64
-    # per sample: the assembled 0/1 matrix, its copy padded to w words for
-    # packing, and about eight r x r tables of draws and blocks
-    _check_block(r, min(MC_BLOCK, samples), m * m + m * 64 * w + 8 * r * r)
+    w, wr = (m + 63) // 64, (r + 63) // 64
+    # per sample: the r x r draw and its byte-aligned copy for packing,
+    # about eight r-bit row fields of the assembly, and the word matrix
+    # with the kernel's copy and its two temporaries (tracemalloc peaks
+    # 3.8 kB at r = 30 and 17.5 kB at r = 70; this gives 6.2 and 33.5 kB)
+    _check_block(
+        r, min(MC_BLOCK, samples), 2 * r * (r + 8) + 64 * r * wr + 32 * m * w
+    )
     blocks = []
     off = 0
     b = 0

@@ -360,12 +360,11 @@ def form_coranks(
     words = np.zeros((len(forms), count, m, w), dtype=np.uint64)
     for i in range(m):
         words[:, :, i, i // 64] = np.uint64(1 << (i % 64))
-    # Packed form by form: pack_rows pads its input to 64 columns first,
-    # and one form at a time keeps that copy small.
+    # Packed form by form: the forms differ in size, and each fills the
+    # top-left corner of its identity block.
     for k, form in enumerate(forms):
         s = form.shape[-1]
-        if s:  # a 0x0 form (r = 0) has no rows to pack
-            words[k, :, :s, : (s + 63) // 64] = pack_rows(form)
+        words[k, :, :s, : (s + 63) // 64] = pack_rows(form)
     ranks = rank_batch(words.reshape(len(forms) * count, m, w))
     return m - ranks.reshape(len(forms), count)
 

@@ -80,6 +80,31 @@ def test_validate_config_rejects_square_products():
         validate_config(bad)
 
 
+def test_validate_config_checks_b_block(monkeypatch):
+    stock = ensemble_config("7a")
+    built = []
+    post_init = F2Matrix.__post_init__
+    monkeypatch.setattr(F2Matrix, "__post_init__", lambda m: built.append(m) or post_init(m))
+    good = dataclasses.replace(stock, b=F2Matrix.from_rows([[0, 1], [1, 0]]))
+    bad = {
+        "t x t": [F2Matrix.zeros(1, 1), F2Matrix.zeros(2, 3), F2Matrix.zeros(3, 2)],
+        "alternating": [
+            F2Matrix.from_rows([[0, 1], [0, 0]]),
+            F2Matrix.from_rows([[1, 0], [0, 0]]),
+            F2Matrix.from_rows([[0, 1], [1, 1]]),
+        ],
+    }
+    bad = {msg: [dataclasses.replace(stock, b=b) for b in bs] for msg, bs in bad.items()}
+    built.clear()
+    for cfg in (stock, good):
+        validate_config(cfg)
+    for msg, cfgs in bad.items():
+        for cfg in cfgs:
+            with pytest.raises(ValueError, match=msg):
+                validate_config(cfg)
+    assert built == []  # B is checked on its rows, without building matrices
+
+
 def test_build_alt_example(sieve):
     cfg = ensemble_config("5a")
     m = build_alt(cfg, factor_squarefree(5, sieve))
@@ -239,6 +264,17 @@ def test_batch_path_matches_reference():
         words = _assemble_block(cfg, cls, upper)
         got = (2 * 7 + cfg.t) - rank_batch(words)
         assert list(got) == ref
+
+
+@pytest.mark.parametrize("r", [1, 2, 31, 32, 33, 70])
+def test_assemble_block_words_match_build_alt(r):
+    # m = 2r + t crosses one word boundary at r = 31 to 33 and two at r = 70
+    for cfg in [ensemble_config(label) for label in ENSEMBLE_LABELS] + custom_configs():
+        draws = draw_assignments(cfg, r, _block_rng(r, 3), 6)
+        want = pack_rows(np.array([build_alt(cfg, a).tolist() for a in draws], dtype=np.uint8))
+        cls, upper = _draw_block(cfg, r, _block_rng(r, 3), 6)
+        got = _assemble_block(cfg, cls, upper)
+        assert got.dtype == np.uint64 and np.array_equal(got, want), (cfg.label, r)
 
 
 def test_batch_path_multiword():

@@ -58,3 +58,35 @@ def test_rank_batch_empty_shapes():
     assert list(checked_ranks(np.zeros((3, 5, 0), dtype=np.uint8))) == [0] * 3
     empty = rank_batch(np.zeros((0, 7, 2), dtype=np.uint64))
     assert empty.shape == (0,)
+
+
+def test_rank_batch_single_matrix():
+    # a stack of one is the shape whose transposed view is already contiguous
+    for bits in ([[1, 1], [1, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 0]], [[1] * 70] * 3):
+        bits = np.array([bits], dtype=np.uint8)
+        assert list(checked_ranks(bits)) == reference_ranks(bits)
+
+
+def test_rank_batch_pivot_edge_cases():
+    rng = np.random.default_rng(11)
+    # w > 1 stacks where some matrices have no bit in their first word, or
+    # in their first two, so every pivot lies in a later word
+    for n, m in ((20, 140), (70, 70), (9, 200)):
+        bits = rng.integers(0, 2, size=(10, n, m), dtype=np.uint8)
+        bits[:4, :, :64] = 0
+        bits[4:6, :, : min(128, m - 1)] = 0
+        bits[6, ::2, :64] = 0  # every other row starts in a later word
+        assert list(checked_ranks(bits)) == reference_ranks(bits)
+    # permutation matrices have full rank, whatever the order of their pivots
+    for n in (5, 64, 65, 130):
+        bits = np.stack([np.eye(n, dtype=np.uint8)[rng.permutation(n)] for _ in range(6)])
+        assert list(checked_ranks(bits)) == [n] * 6
+    # rows that become zero midway: row k repeats, or sums, earlier rows
+    for n, m in ((12, 12), (30, 70), (70, 140)):
+        bits = rng.integers(0, 2, size=(8, n, m), dtype=np.uint8)
+        bits[:, n // 3] = bits[:, 0]
+        bits[:, n // 2] = bits[:, 1] ^ bits[:, 2] ^ bits[:, n // 3]
+        bits[:, n - 1] = bits[:, : n - 1].sum(axis=1) % 2
+        got = checked_ranks(bits)
+        assert list(got) == reference_ranks(bits)
+        assert max(got) <= n - 3
