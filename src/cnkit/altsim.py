@@ -36,8 +36,8 @@ from .monsky import twist_batch, twist_matrix
 from .numtheory import (
     FactoredInteger,
     ResourceLimitError,
+    factor_small,
     is_square_class,
-    is_squarefree_small,
     jacobi,
 )
 
@@ -309,32 +309,13 @@ def build_alt(cfg: AltConfig, source: "FactoredInteger | BitAssignment") -> F2Ma
 # --- structural corank offset ---------------------------------------------------
 
 
-def _factor_small(n: int) -> FactoredInteger | None:
-    if n < 1 or not is_squarefree_small(n):
-        return None
-    primes = []
-    m = n
-    is_even = m % 2 == 0
-    if is_even:
-        m //= 2
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            m //= p
-        p += 2
-    if m > 1:
-        primes.append(m)
-    return FactoredInteger(n=n, odd_primes=tuple(sorted(primes)), is_even=is_even)
-
-
 def family_members(cfg: AltConfig, count: int, hard_cap: int = 10 ** 7):
     """The first `count` squarefree members of the ensemble family, ascending."""
     found = 0
     n = 1
     while n <= hard_cap and found < count:
         if cfg.accepts(n):
-            f = _factor_small(n)
+            f = factor_small(n)
             if f is not None:
                 yield f
                 found += 1

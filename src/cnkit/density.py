@@ -6,18 +6,17 @@ runs merge associatively and any worker count produces byte-identical
 reports.  Every scanned n is also pushed through the row identities as a
 standing cross-check.
 
-A scan builds its inputs in bulk and keeps only the divisor sums
-scalar.  Each call first tabulates g(d) for every squarefree d up to its
-limit (`monsky.redei_g_table`), once, and hands the table to one LCache
-(per worker in the pool path).  Each block is cut into slices of
-8 * CHUNK integers; a slice is factored at once
-(`numtheory.factor_squarefree_range`), and for the n of each prime
-count r the divisor sums are evaluated n by n from the table, while the
-twist symbols come from one `monsky.twist_batch` call and every
-applicable row form, plus the residue-1 or residue-2 form that gives the
-Selmer rank, is ranked in one `monsky.form_coranks` call.  The two
-columns share the factorization and the symbols but no form: a wrong g
-or a wrong row form shows as an identity mismatch.
+A scan runs in numpy throughout.  Each call first tabulates g(d) for
+every squarefree d up to its limit (`monsky.redei_g_table`), once, and
+hands the table to every block (to every worker in the pool path).  Each
+block is cut into slices of 8 * CHUNK integers; a slice is factored at
+once (`numtheory.factor_squarefree_range`), and the n of each prime
+count r get their divisor sums from one `lfun.divisor_sums_batch` call
+over the table, their twist symbols from one `monsky.twist_batch` call,
+and every applicable row form, plus the residue-1 or residue-2 form that
+gives the Selmer rank, is ranked in one `monsky.form_coranks` call.  The
+two columns share the factorization and the symbols but no form: a
+wrong g or a wrong row form shows as an identity mismatch.
 
 The census has no divisor sums and runs in numpy throughout: each block
 is cut into slices, a slice is factored at once, and its n of each prime
@@ -34,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .altsim import four_rank_batch, gerth_pmf
-from .lfun import LCache, divisor_sum
+from .lfun import LCache, divisor_sum, divisor_sums_batch
 from .monsky import (
     SELMER_FORM,
     build_twist,
@@ -45,7 +44,6 @@ from .monsky import (
     twist_batch,
 )
 from .numtheory import (
-    FactoredInteger,
     PrimeSieve,
     factor_squarefree_range,
     sieve_init,
@@ -175,9 +173,9 @@ class FourRankCensus:
 
 # Per-worker state: the sieve is built once per process by the pool
 # initializer (cheap next to the scan itself) and shared by its blocks;
-# a scan worker also keeps one LCache, over the g table of its scan call.
+# a scan worker also keeps the g table of its scan call.
 _WORKER_SIEVE: dict[int, PrimeSieve] = {}
-_WORKER_CACHE: LCache | None = None
+_WORKER_GTABLE: bytes | None = None
 
 
 def _get_sieve(limit: int) -> PrimeSieve:
@@ -189,21 +187,19 @@ def _get_sieve(limit: int) -> PrimeSieve:
 
 
 def _init_worker(limit: int, gtable: bytes | None = None) -> None:
-    global _WORKER_CACHE
+    global _WORKER_GTABLE
     _get_sieve(limit)
-    if gtable is not None:
-        _WORKER_CACHE = LCache(gtable=gtable)
+    _WORKER_GTABLE = gtable
 
 
-def _scan_block(args, cache: LCache | None = None) -> DensityReport:
-    """Scan one block; cache is the scan's LCache, or the worker's one in
+def _scan_block(args, gtable: bytes | None = None) -> DensityReport:
+    """Scan one block; gtable is the scan's g table, or the worker's one in
     the pool path."""
     residue, sieve_limit, lo, hi = args
     sieve = _get_sieve(sieve_limit)
-    if cache is None:
-        cache = _WORKER_CACHE
+    if gtable is None:
+        gtable = _WORKER_GTABLE
     rep = DensityReport(residue=residue, limit=sieve_limit)
-    rows = rows_for_residue(residue)
     # A slice of 8 * CHUNK integers holds at most CHUNK n = residue (mod
     # 8), which bounds the twists ranked together.
     for s_lo, s_hi in _spans(lo, hi, 8 * CHUNK):
@@ -213,22 +209,20 @@ def _scan_block(args, cache: LCache | None = None) -> DensityReport:
         for rv in np.unique(r).tolist():
             pick = r == rv
             stack = primes[pick, :rv]
-            sums = []
-            for n, odd_primes in zip(ns[pick].tolist(), stack.tolist()):
-                f = FactoredInteger(n, tuple(odd_primes), n % 2 == 0)
-                sums.append([divisor_sum(row, f, cache) for row in rows])
+            sums = divisor_sums_batch(residue, ns[pick], stack, gtable)
             _tally(rep, sums, *twist_batch(stack))
     return rep
 
 
-def _tally(rep: DensityReport, sums: list, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
-    """Add a stack of same-r n, given by their divisor sums (one list per
-    n) and their `twist_batch` arrays, to the report."""
+def _tally(
+    rep: DensityReport, sums: np.ndarray, a: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> None:
+    """Add a stack of same-r n, given by their (count, rows) divisor sums
+    and their `twist_batch` arrays, to the report."""
     rows = rows_for_residue(rep.residue)
     form, value = SELMER_FORM[rep.residue]
     labels = rows if form in rows else rows + (form,)
     coranks = form_coranks(labels, a, y, z)
-    sums = np.array(sums, dtype=bool)
     dets = (coranks[: len(rows)] == 0).T
     rep.identity_mismatches += int((sums != dets).any(axis=1).sum())
     form_corank = coranks[labels.index(form)]
@@ -270,9 +264,8 @@ def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> Densi
             for part in pool.map(_scan_block, blocks):
                 rep.merge(part)
     else:
-        cache = LCache(gtable=gtable)
         for blk in blocks:
-            rep.merge(_scan_block(blk, cache))
+            rep.merge(_scan_block(blk, gtable))
     return rep
 
 

@@ -3,20 +3,30 @@
 These are the arithmetic side of the row identities: each residue row
 pairs a divisor sum built from g and the recursive parity function with
 a determinant form from monsky.  The divisor sums iterate literally over
-(pairs of coprime) divisors; the parity function is memoized by integer
-value since the same divisors recur across a scan.  g is read from a
-`monsky.redei_g_table` when the cache holds one (scans and certified
-tables build one per call), and otherwise computed from the restricted
-twist data with `monsky.redei_g_parts` and memoized like the parity.
+(pairs of coprime) divisors.
 
 Divisors of squarefree n are encoded as (mask over odd primes, power of
-2), so subset iteration covers them exactly once.  Their subset products
-are built once per n and shared by every row of that n.
+2), so subset iteration covers them exactly once.  The sums come two
+ways:
+
+- n by n (`divisor_sum`, `verify_rows`): the readable reference and the
+  test oracle.  The parity function is memoized by integer value, since
+  the same divisors recur; g is read from a `monsky.redei_g_table` when
+  the LCache holds one, and otherwise computed from the restricted twist
+  data with `monsky.redei_g_parts` and memoized like the parity.  The
+  subset products of n are built once and shared by its rows.
+- for a stack of n with the same prime count r (`divisor_sums_batch`,
+  what scans use): the same literal sums in numpy, over (count, 2^r)
+  arrays of subset products, g from a g table and L(n/d), with the pair
+  sums taken over a per-r table of the 3^r disjoint mask pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+
+import numpy as np
 
 from . import gf2
 from .monsky import (
@@ -29,7 +39,18 @@ from .monsky import (
 )
 from .numtheory import FactoredInteger
 
-__all__ = ["LCache", "RowCheck", "lvalue_parity", "divisor_sum", "verify_rows"]
+__all__ = [
+    "LCache",
+    "RowCheck",
+    "lvalue_parity",
+    "divisor_sum",
+    "divisor_sums_batch",
+    "verify_rows",
+]
+
+# A stack is cut so that count * 3^r, the size of the pair-sum arrays
+# (one byte per entry), stays within this budget.
+PAIR_BUDGET = 1 << 18
 
 
 @dataclass
@@ -229,6 +250,127 @@ def divisor_sum(
     if row == "7b":
         return _pair_sum(ctx, f, 8, 5, 8, 3)
     raise AssertionError(row)
+
+
+@cache
+def _mask_tables(r: int):
+    """Index tables over the masks of r odd primes.
+
+    steps: for each popcount k = 1..r in turn, the masks m of popcount k,
+    the divisor masks d of the L recursion of each (those holding the
+    lowest bit of m) and m ^ d, as (C,) and two (C, 2^(k-1)) arrays.
+    pairs: the 3^r disjoint (mask0, mask1) and the complement of their
+    union.
+    """
+    by_k: dict[int, tuple[list, list]] = {}
+    for mask in range(1, 1 << r):
+        low = mask & -mask
+        rest = mask ^ low
+        subs = [sub | low for sub in range(1 << r) if sub & rest == sub]
+        masks, dmasks = by_k.setdefault(len(subs), ([], []))
+        masks.append(mask)
+        dmasks.append(subs)
+    steps = []
+    for k in sorted(by_k):
+        masks, dmasks = (np.array(v, dtype=np.intp) for v in by_k[k])
+        steps.append((masks, dmasks, masks[:, None] ^ dmasks))
+    every = np.arange(1 << r)
+    mask0, mask1 = np.nonzero((every[:, None] & every[None, :]) == 0)
+    return steps, (mask0, mask1, ((1 << r) - 1) ^ mask0 ^ mask1)
+
+
+def _parity(terms: np.ndarray) -> np.ndarray:
+    """XOR of a bool array along its last axis."""
+    return np.count_nonzero(terms, axis=-1) % 2 == 1
+
+
+def _stack_sums(
+    residue: int, ns: np.ndarray, primes: np.ndarray, table: np.ndarray
+) -> np.ndarray:
+    """`divisor_sums_batch` for a stack small enough to take whole."""
+    rows = rows_for_residue(residue)
+    count, r = primes.shape
+    steps, (pair0, pair1, pair_rest) = _mask_tables(r)
+    prods = np.ones((count, 1 << r), dtype=np.int64)
+    for i in range(r):
+        prods[:, 1 << i : 2 << i] = prods[:, : 1 << i] * primes[:, i : i + 1]
+    # (d mod 16, g(d)) of every divisor d of n: keyed by whether d holds
+    # the 2, d = prods or 2 * prods.
+    divs = {False: (prods % 16, table[prods] != 0)}
+    even = residue % 2 == 0
+    if even:
+        divs[True] = (2 * prods % 16, table[2 * prods] != 0)
+
+    # L of every odd divisor, by the recursion of `_Ctx.lval`: a strict
+    # submask has a smaller popcount, so each step reads filled entries.
+    res, g = divs[False]
+    ok = res % 8 == 1
+    g_ok = g & ok
+    lv = np.zeros((count, 1 << r), dtype=bool)
+    lv[:, 0] = True
+    for masks, dmasks, quots in steps:
+        lv[:, masks] = ok[:, masks] & _parity(g_ok[:, dmasks] & lv[:, quots])
+    # L(n/d) with d = mask (times 2 for even n) is L(full ^ mask).
+    lcomp = lv[:, ::-1]
+
+    def hits(mod: int, want, with2: bool) -> np.ndarray:
+        res, g = divs[with2]
+        return (res % mod == want) & g
+
+    def single(mod: int, want) -> np.ndarray:
+        # For even n only d holding the 2 leave an odd quotient.
+        return _parity(hits(mod, want, even) & lcomp)
+
+    def pair(mod0: int, want0, mod1: int, want1) -> np.ndarray:
+        # d1 = 3 or 7 (mod 8) is odd in every pair row, so for even n it is
+        # d0 that holds the 2.
+        terms = hits(mod0, want0, even)[:, pair0] & hits(mod1, want1, False)[:, pair1]
+        return _parity(terms & lv[:, pair_rest])
+
+    n16 = (ns % 16)[:, None]
+    out = np.empty((count, len(rows)), dtype=bool)
+    for col, row in enumerate(rows):
+        if row == "1":
+            out[:, col] = lv[:, -1]
+        elif row == "2":
+            out[:, col] = single(16, n16)
+        elif row == "3":
+            out[:, col] = single(8, 3)
+        elif row == "5a":
+            out[:, col] = single(8, 5)
+        elif row == "5b":
+            out[:, col] = pair(8, 7, 8, 3)
+        elif row == "6":
+            out[:, col] = pair(16, 7 * n16 % 16, 8, 7) ^ single(16, n16)
+        elif row == "7a":
+            out[:, col] = single(8, 7)
+        elif row == "7b":
+            out[:, col] = pair(8, 5, 8, 3)
+        else:
+            raise AssertionError(row)
+    return out
+
+
+def divisor_sums_batch(
+    residue: int, ns: np.ndarray, primes: np.ndarray, gtable: bytes
+) -> np.ndarray:
+    """The divisor sums of a stack of same-r n, as a (count, rows) bool
+    array: row k is `divisor_sum` of every row for `residue` at ns[k].
+
+    ns are squarefree n = residue (mod 8); primes is their (count, r)
+    int64 array of odd primes; gtable is a `monsky.redei_g_table` covering
+    every n (odd-only suffices for odd residues).
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    out = np.empty((ns.size, len(rows_for_residue(residue))), dtype=bool)
+    if np.any(ns % 8 != residue):
+        raise ValueError(f"every n must be {residue} (mod 8)")
+    table = np.frombuffer(gtable, dtype=np.uint8)
+    step = max(1, PAIR_BUDGET // 3 ** primes.shape[1])
+    for lo in range(0, ns.size, step):
+        cut = slice(lo, lo + step)
+        out[cut] = _stack_sums(residue, ns[cut], primes[cut], table)
+    return out
 
 
 @dataclass(frozen=True)

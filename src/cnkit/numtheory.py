@@ -27,6 +27,7 @@ __all__ = [
     "legendre_plus",
     "legendre_plus_bulk",
     "is_square_class",
+    "factor_small",
     "is_squarefree_small",
     "enumerate_squarefree",
 ]
@@ -257,20 +258,30 @@ def is_square_class(a: int, n0: int, D: int) -> bool:
     return (a * n0) % mod in sq
 
 
+def factor_small(n: int) -> FactoredInteger | None:
+    """FactoredInteger for n by trial division, or None when n is not
+    squarefree; for small n where no sieve is at hand."""
+    if n < 1 or n % 4 == 0:
+        return None
+    is_even = n % 2 == 0
+    m = n // 2 if is_even else n
+    primes = []
+    p = 3
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return None
+            primes.append(p)
+        p += 2
+    if m > 1:
+        primes.append(m)
+    return FactoredInteger(n=n, odd_primes=tuple(primes), is_even=is_even)
+
+
 def is_squarefree_small(n: int) -> bool:
     """Trial-division squarefree test, for small n where no sieve is at hand."""
-    if n < 1:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 2
-    return True
+    return factor_small(n) is not None
 
 
 def enumerate_squarefree(

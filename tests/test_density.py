@@ -209,6 +209,17 @@ def test_scan_chunk_independence(monkeypatch, residue):
     assert par == default
 
 
+@pytest.mark.parametrize("residue", [2, 5, 6, 7])
+def test_scan_pair_budget_independence(sieve, monkeypatch, residue):
+    # Stacks cut to a few n (one n from r = 4 on) give the same report.
+    import cnkit.lfun as lfun
+
+    limit = 30_000
+    default = scan(residue, limit, sieve)
+    monkeypatch.setattr(lfun, "PAIR_BUDGET", 50)
+    assert scan(residue, limit, sieve) == default
+
+
 @pytest.mark.parametrize("residue", [1, 5, 6, 7])
 def test_scan_edge_limits(sieve, residue):
     # 0 and 1 scan at most n = 1; 5 and 8 end inside the first slice;

@@ -1,8 +1,15 @@
+import numpy as np
 import pytest
 
-from cnkit.lfun import LCache, divisor_sum, lvalue_parity, verify_rows
-from cnkit.monsky import redei_g, rows_for_residue
-from cnkit.numtheory import factor_squarefree, sieve_init, try_factor_squarefree
+from cnkit.lfun import LCache, divisor_sum, divisor_sums_batch, lvalue_parity, verify_rows
+from cnkit.monsky import redei_g, redei_g_table, rows_for_residue
+from cnkit.numtheory import (
+    FactoredInteger,
+    factor_squarefree,
+    factor_squarefree_range,
+    sieve_init,
+    try_factor_squarefree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +194,62 @@ def test_cache_consistency(sieve):
         lvalue_parity(f, warm)
     for n, value in list(warm.lvals.items()):
         assert lvalue_parity(factor_squarefree(n, sieve), LCache()) == value
+
+
+def _batch_and_scalar(residue, limit, sieve, gtable):
+    """Per same-r stack of squarefree n = residue (mod 8) up to limit:
+    (r, batched sums, scalar sums), both as (count, rows) bool arrays."""
+    ns, primes = factor_squarefree_range(1, limit + 1, sieve, residue, 8)
+    r = (primes != 0).sum(axis=1)
+    rows = rows_for_residue(residue)
+    cache = LCache(gtable=gtable)
+    for rv in np.unique(r).tolist():
+        pick = r == rv
+        stack = primes[pick, :rv]
+        got = divisor_sums_batch(residue, ns[pick], stack, gtable)
+        want = [
+            [divisor_sum(row, FactoredInteger(n, tuple(ps), n % 2 == 0), cache) for row in rows]
+            for n, ps in zip(ns[pick].tolist(), stack.tolist())
+        ]
+        yield rv, got, np.array(want, dtype=bool).reshape(got.shape)
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3, 5, 6, 7])
+def test_divisor_sums_batch_matches_scalar(sieve, residue):
+    limit = 10 ** 5
+    gtable = redei_g_table(limit, sieve, odd_only=residue % 2 == 1)
+    seen = set()
+    for rv, got, want in _batch_and_scalar(residue, limit, sieve, gtable):
+        seen.add(rv)
+        assert (got == want).all(), (residue, rv)
+    # n = 1 and n = 2 make the r = 0 stacks
+    assert (0 in seen) == (residue in (1, 2))
+
+
+def test_divisor_sums_batch_residue_mismatch(sieve):
+    gtable = redei_g_table(100, sieve)
+    with pytest.raises(ValueError):
+        divisor_sums_batch(5, np.array([7]), np.array([[7]]), gtable)
+
+
+@pytest.mark.parametrize("residue", [5, 7])
+def test_flipped_g_entry_shows(sieve, monkeypatch, residue):
+    # A wrong g must show as identity mismatches in a scan, and the
+    # batched sums must still agree with the scalar ones on that table.
+    import cnkit.density as density
+
+    limit = 20_000
+    clean = redei_g_table(limit, sieve, odd_only=True)
+    flipped = bytearray(clean)
+    flipped[13] ^= 1
+    flipped = bytes(flipped)
+    monkeypatch.setattr(density, "redei_g_table", lambda *args, **kwargs: flipped)
+    assert density.scan(residue, limit, sieve).identity_mismatches > 0
+    changed = 0
+    for (_, got, want), (_, ref, _) in zip(
+        _batch_and_scalar(residue, limit, sieve, flipped),
+        _batch_and_scalar(residue, limit, sieve, clean),
+    ):
+        assert (got == want).all()
+        changed += int((got != ref).sum())
+    assert changed > 0  # the sums read the flipped entry

@@ -6,6 +6,7 @@ from cnkit.numtheory import (
     NotSquarefreeError,
     ResourceLimitError,
     enumerate_squarefree,
+    factor_small,
     factor_squarefree,
     factor_squarefree_range,
     is_square_class,
@@ -161,6 +162,12 @@ def test_enumerate_squarefree(sieve):
 def test_is_squarefree_small(sieve):
     for n in range(1, 3000):
         assert is_squarefree_small(n) == (try_factor_squarefree(n, sieve) is not None)
+
+
+def test_factor_small(sieve):
+    for n in range(-2, 3000):
+        want = try_factor_squarefree(n, sieve) if n >= 1 else None
+        assert factor_small(n) == want, n
 
 
 def test_factored_integer_r():
