@@ -20,7 +20,6 @@ into the uint64 words of `rank_batch` (no 0/1 matrix is built), and one
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from math import gcd, isqrt
@@ -39,6 +38,8 @@ from .numtheory import (
     factor_small,
     is_square_class,
     jacobi,
+    map_blocks,
+    spans,
 )
 
 __all__ = [
@@ -687,22 +688,11 @@ def corank_distribution_mc(
     _check_block(
         r, min(MC_BLOCK, samples), 2 * r * (r + 8) + 64 * r * wr + 32 * m * w
     )
-    blocks = []
-    off = 0
-    b = 0
-    while off < samples:
-        count = min(MC_BLOCK, samples - off)
-        blocks.append((cfg, r, seed, b, count))
-        off += count
-        b += 1
+    pieces = enumerate(spans(0, samples, MC_BLOCK))
+    blocks = [(cfg, r, seed, b, hi - lo) for b, (lo, hi) in pieces]
     total = np.zeros(m + 1, dtype=np.int64)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(_mc_block, blocks):
-                total += counts
-    else:
-        for blk in blocks:
-            total += _mc_block(blk)
+    for counts in map_blocks(_mc_block, blocks, workers):
+        total += counts
     hist = CorankHistogram(label=cfg.label, r=r, samples=samples, seed=seed)
     hist.counts = {k: int(c) for k, c in enumerate(total) if c}
     return hist

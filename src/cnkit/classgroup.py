@@ -28,11 +28,6 @@ class ClassGroupInfo:
     two_rank: int
     four_rank: int
 
-    @property
-    def doubled_order_odd(self) -> bool:
-        """Whether |2Cl| is odd, i.e. the 4-rank vanishes."""
-        return self.four_rank == 0
-
 
 def discriminant_of(n: int) -> int:
     """Discriminant of Q(sqrt(-n)) for squarefree positive n."""

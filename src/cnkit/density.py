@@ -1,54 +1,46 @@
 """Range scans: rank-3 proportions, nonvanishing frequencies, certified
-congruent numbers, and the 4-rank census.
+congruent numbers, the row-identity check, and the 4-rank census.
 
 Scans aggregate pure counts over contiguous blocks of n, so parallel
 runs merge associatively and any worker count produces byte-identical
 reports.  Every scanned n is also pushed through the row identities as a
 standing cross-check.
 
-A scan runs in numpy throughout.  Each call first tabulates g(d) for
-every squarefree d up to its limit (`monsky.redei_g_table`), once, and
-hands the table to every block (to every worker in the pool path).  Each
-block is cut into slices of 8 * CHUNK integers; a slice is factored at
-once (`numtheory.factor_squarefree_range`), and the n of each prime
-count r get their divisor sums from one `lfun.divisor_sums_batch` call
-over the table, their twist symbols from one `monsky.twist_batch` call,
-and every applicable row form, plus the residue-1 or residue-2 form that
-gives the Selmer rank, is ranked in one `monsky.form_coranks` call.  The
-two columns share the factorization and the symbols but no form: a
-wrong g or a wrong row form shows as an identity mismatch.
+`scan`, `certified_table` and `identity_check` share one numpy engine.
+A call tabulates g(d) for every squarefree d up to its limit
+(`monsky.redei_g_table`) once and hands the table to every block.  A
+block yields its n as same-r stacks (`numtheory.same_r_stacks`), and a
+stack gets its divisor sums from one `lfun.divisor_sums_batch` call and
+its determinant forms from one `monsky.twist_batch` and one
+`monsky.form_coranks` call: every row form and the Selmer form for a
+scan, the Selmer form of the certified n for `certified_table` (the row
+is the first nonzero sum), and every row form for `identity_check`,
+which records each (n, row) whose two columns differ.  The columns share
+the factorization and the symbols but no form: a wrong g or a wrong row
+form shows as an identity mismatch.
 
-The census has no divisor sums and runs in numpy throughout: each block
-is cut into slices, a slice is factored at once, and its n of each prime
-count r get their 4-ranks from one `altsim.four_rank_batch` call.
+The census has no divisor sums: each same-r stack of n = 3 (mod 4) gets
+its 4-ranks from one `altsim.four_rank_batch` call.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .altsim import four_rank_batch, gerth_pmf
-from .lfun import LCache, divisor_sum, divisor_sums_batch
+from .lfun import divisor_sums_batch
 from .monsky import (
     SELMER_FORM,
-    build_twist,
     form_coranks,
-    rank3_indicator,
     redei_g_table,
     rows_for_residue,
     twist_batch,
 )
-from .numtheory import (
-    PrimeSieve,
-    factor_squarefree_range,
-    sieve_init,
-    try_factor_squarefree,
-)
+from .numtheory import PrimeSieve, map_blocks, same_r_stacks, spans
 
 __all__ = [
     "BLOCK",
@@ -59,6 +51,7 @@ __all__ = [
     "wilson_ci",
     "scan",
     "certified_table",
+    "identity_check",
     "fourrank_census",
 ]
 
@@ -171,46 +164,48 @@ class FourRankCensus:
         return gerth_pmf(k)
 
 
-# Per-worker state: the sieve is built once per process by the pool
-# initializer (cheap next to the scan itself) and shared by its blocks;
-# a scan worker also keeps the g table of its scan call.
-_WORKER_SIEVE: dict[int, PrimeSieve] = {}
-_WORKER_GTABLE: bytes | None = None
+# Per-worker state, set by `_init_worker` once per pool worker, or before
+# each block of a serial run: the sieve and the g table of the run.
+_SIEVE: PrimeSieve | None = None
+_GTABLE: bytes | None = None
 
 
-def _get_sieve(limit: int) -> PrimeSieve:
-    sieve = _WORKER_SIEVE.get(limit)
-    if sieve is None:
-        sieve = sieve_init(limit)
-        _WORKER_SIEVE[limit] = sieve
-    return sieve
+def _init_worker(sieve: PrimeSieve, gtable: bytes | None = None) -> None:
+    global _SIEVE, _GTABLE
+    _SIEVE, _GTABLE = sieve, gtable
 
 
-def _init_worker(limit: int, gtable: bytes | None = None) -> None:
-    global _WORKER_GTABLE
-    _get_sieve(limit)
-    _WORKER_GTABLE = gtable
+def _check_limit(limit: int, sieve: PrimeSieve) -> None:
+    if limit > sieve.limit:
+        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
 
 
-def _scan_block(args, gtable: bytes | None = None) -> DensityReport:
-    """Scan one block; gtable is the scan's g table, or the worker's one in
-    the pool path."""
-    residue, sieve_limit, lo, hi = args
-    sieve = _get_sieve(sieve_limit)
+def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, gtable=None, workers=1):
+    """block over the BLOCK-long pieces of [1, limit] for n = residue
+    (mod 8), results in block order; every worker holds the sieve and
+    gtable, by default the g table of the range (odd-only for odd
+    residues)."""
+    _check_limit(limit, sieve)
     if gtable is None:
-        gtable = _WORKER_GTABLE
-    rep = DensityReport(residue=residue, limit=sieve_limit)
+        gtable = redei_g_table(limit, sieve, odd_only=residue % 2 == 1)
+    blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
+    return map_blocks(block, blocks, workers, _init_worker, (sieve, gtable))
+
+
+def _block_stacks(args) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(ns, primes, divisor sums) of each same-r stack of one block."""
+    residue, lo, hi = args
     # A slice of 8 * CHUNK integers holds at most CHUNK n = residue (mod
     # 8), which bounds the twists ranked together.
-    for s_lo, s_hi in _spans(lo, hi, 8 * CHUNK):
-        ns, primes = factor_squarefree_range(s_lo, s_hi, sieve, residue, 8)
+    for ns, stack in same_r_stacks(lo, hi, 8 * CHUNK, _SIEVE, residue, 8):
+        yield ns, stack, divisor_sums_batch(residue, ns, stack, _GTABLE)
+
+
+def _scan_block(args) -> DensityReport:
+    rep = DensityReport(residue=args[0], limit=_SIEVE.limit)
+    for ns, stack, sums in _block_stacks(args):
         rep.squarefree_count += ns.size
-        r = (primes != 0).sum(axis=1)
-        for rv in np.unique(r).tolist():
-            pick = r == rv
-            stack = primes[pick, :rv]
-            sums = divisor_sums_batch(residue, ns[pick], stack, gtable)
-            _tally(rep, sums, *twist_batch(stack))
+        _tally(rep, sums, *twist_batch(stack))
     return rep
 
 
@@ -242,31 +237,26 @@ def _tally(
             rep.selmer_rank_hist[rank] = rep.selmer_rank_hist.get(rank, 0) + count
 
 
-def _spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
-    """[lo, hi) cut into consecutive (lo, hi) pairs at most width long."""
-    return [(a, min(a + width, hi)) for a in range(lo, hi, width)]
-
-
 def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> DensityReport:
     """Aggregate statistics over squarefree n = residue (mod 8), n <= limit."""
     if residue not in (1, 2, 3, 5, 6, 7):
         raise ValueError(f"residue must be in {{1,2,3,5,6,7}}, got {residue}")
-    if limit > sieve.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
-    _WORKER_SIEVE.setdefault(sieve.limit, sieve)
-    gtable = redei_g_table(limit, sieve, odd_only=residue % 2 == 1)
-    blocks = [(residue, sieve.limit, lo, hi) for lo, hi in _spans(1, limit + 1, BLOCK)]
     rep = DensityReport(residue=residue, limit=limit)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(sieve.limit, gtable)
-        ) as pool:
-            for part in pool.map(_scan_block, blocks):
-                rep.merge(part)
-    else:
-        for blk in blocks:
-            rep.merge(_scan_block(blk, gtable))
+    for part in _map_range(_scan_block, residue, limit, sieve, workers=workers):
+        rep.merge(part)
     return rep
+
+
+def _certify_block(args) -> list[Certificate]:
+    residue = args[0]
+    rows = rows_for_residue(residue)
+    form, value = SELMER_FORM[residue]
+    found = []
+    for ns, stack, sums in _block_stacks(args):
+        hit = sums.any(axis=1)
+        rank3 = form_coranks((form,), *twist_batch(stack[hit]))[0] == value
+        found += zip(ns[hit].tolist(), sums[hit].argmax(axis=1).tolist(), rank3.tolist())
+    return [Certificate(n, residue, rows[k], r3, 1) for n, k, r3 in sorted(found)]
 
 
 def certified_table(
@@ -280,58 +270,60 @@ def certified_table(
     """
     if residue not in (5, 6, 7):
         raise ValueError(f"certification applies to residues 5, 6, 7; got {residue}")
-    if limit > sieve.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
-    cache = LCache(gtable=redei_g_table(limit, sieve, odd_only=residue % 2 == 1))
-    rows = rows_for_residue(residue)
-    for n in range(residue, limit + 1, 8):
-        f = try_factor_squarefree(n, sieve)
-        if f is None:
-            continue
-        for row in rows:
-            value = divisor_sum(row, f, cache)
-            if value:
-                yield Certificate(
-                    n=n,
-                    residue=residue,
-                    row=row,
-                    rank3=rank3_indicator(build_twist(f)),
-                    value=value,
-                )
-                break
+    for part in _map_range(_certify_block, residue, limit, sieve):
+        yield from part
+
+
+def _verify_block(args) -> tuple[int, list[tuple[int, str, int, int]]]:
+    rows = rows_for_residue(args[0])
+    count, bad = 0, []
+    for ns, stack, sums in _block_stacks(args):
+        count += ns.size
+        dets = (form_coranks(rows, *twist_batch(stack)) == 0).T
+        for k, j in zip(*np.nonzero(sums != dets)):
+            bad.append((int(ns[k]), rows[j], int(sums[k, j]), int(dets[k, j])))
+    return count, bad
+
+
+def identity_check(
+    limit: int, sieve: PrimeSieve
+) -> tuple[int, int, list[tuple[int, str, int, int]]]:
+    """Divisor sum against determinant for every row at every squarefree
+    n <= limit, over one g table.
+
+    Returns the number of rows and of n checked, and the mismatches as
+    (n, row, divisor sum, determinant), sorted by n and then by row.
+    """
+    _check_limit(limit, sieve)
+    gtable = redei_g_table(limit, sieve)
+    rows_checked = n_checked = 0
+    bad = []
+    for residue in (1, 2, 3, 5, 6, 7):
+        for count, part in _map_range(_verify_block, residue, limit, sieve, gtable):
+            n_checked += count
+            rows_checked += count * len(rows_for_residue(residue))
+            bad += part
+    return rows_checked, n_checked, sorted(bad)
 
 
 def _census_block(args) -> FourRankCensus:
-    sieve_limit, lo, hi = args
-    sieve = _get_sieve(sieve_limit)
-    census = FourRankCensus(limit=sieve_limit)
+    lo, hi = args
+    census = FourRankCensus(limit=_SIEVE.limit)
     # A slice of 16 * CHUNK integers holds 4 * CHUNK n = 3 (mod 4), which
     # bounds the arrays a block holds at once.
-    for s_lo, s_hi in _spans(lo, hi, 16 * CHUNK):
-        ns, primes = factor_squarefree_range(s_lo, s_hi, sieve, residue=3, modulus=4)
+    for ns, stack in same_r_stacks(lo, hi, 16 * CHUNK, _SIEVE, residue=3, modulus=4):
         census.total += ns.size
-        r = (primes != 0).sum(axis=1)
-        for rv in np.unique(r).tolist():
-            ks, counts = np.unique(four_rank_batch(primes[r == rv, :rv]), return_counts=True)
-            for k, c in zip(ks.tolist(), counts.tolist()):
-                census.counts[k] = census.counts.get(k, 0) + c
+        ks, counts = np.unique(four_rank_batch(stack), return_counts=True)
+        for k, c in zip(ks.tolist(), counts.tolist()):
+            census.counts[k] = census.counts.get(k, 0) + c
     return census
 
 
 def fourrank_census(limit: int, sieve: PrimeSieve, workers: int = 1) -> FourRankCensus:
     """Empirical 4-rank distribution over squarefree n = 3 (mod 4), n <= limit."""
-    if limit > sieve.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
-    _WORKER_SIEVE.setdefault(sieve.limit, sieve)
-    blocks = [(sieve.limit, lo, hi) for lo, hi in _spans(1, limit + 1, BLOCK)]
+    _check_limit(limit, sieve)
     census = FourRankCensus(limit=limit)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(sieve.limit,)
-        ) as pool:
-            for part in pool.map(_census_block, blocks):
-                census.merge(part)
-    else:
-        for blk in blocks:
-            census.merge(_census_block(blk))
+    blocks = spans(1, limit + 1, BLOCK)
+    for part in map_blocks(_census_block, blocks, workers, _init_worker, (sieve,)):
+        census.merge(part)
     return census

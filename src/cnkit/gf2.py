@@ -24,7 +24,6 @@ __all__ = [
     "submatrix",
     "rows_normalized",
     "block",
-    "in_column_space",
 ]
 
 IndexSet = Sequence[int]
@@ -265,13 +264,3 @@ def block(grid: Sequence[Sequence["F2Matrix | F2Vector | int"]]) -> F2Matrix:
                 packed |= cell.rows[i] << offsets[gj]
             rows.append(packed)
     return F2Matrix(sum(heights), offsets[-1], tuple(rows))
-
-
-def in_column_space(m: F2Matrix, v: F2Vector) -> bool:
-    """True iff v is an F2-combination of m's columns."""
-    if v.len != m.nrows:
-        raise ValueError(f"length mismatch: {v.len} vs {m.nrows} rows")
-    t = m.transpose()
-    base = rank(t)
-    aug = F2Matrix(t.nrows + 1, t.ncols, t.rows + (v.bits,))
-    return rank(aug) == base

@@ -11,14 +11,15 @@ ways:
 
 - n by n (`divisor_sum`, `verify_rows`): the readable reference and the
   test oracle.  The parity function is memoized by integer value, since
-  the same divisors recur; g is read from a `monsky.redei_g_table` when
-  the LCache holds one, and otherwise computed from the restricted twist
-  data with `monsky.redei_g_parts` and memoized like the parity.  The
-  subset products of n are built once and shared by its rows.
+  the same divisors recur; g is computed from the restricted twist data
+  with `monsky.redei_g_parts` and memoized like the parity (a caller may
+  seed `LCache.gvals`).  The subset products of n are built once and
+  shared by its rows.
 - for a stack of n with the same prime count r (`divisor_sums_batch`,
-  what scans use): the same literal sums in numpy, over (count, 2^r)
-  arrays of subset products, g from a g table and L(n/d), with the pair
-  sums taken over a per-r table of the 3^r disjoint mask pairs.
+  what scans, certification and the identity check use): the same
+  literal sums in numpy, over (count, 2^r) arrays of subset products, g
+  from a g table and L(n/d), with the pair sums taken over a per-r table
+  of the 3^r disjoint mask pairs.
 """
 
 from __future__ import annotations
@@ -58,17 +59,14 @@ class LCache:
     """Memo tables for the recursive parity function and for g.
 
     Values are keyed by the integer they belong to, so caches can be
-    shared across every n of a scan.  Single writer per cache; share
-    read-only or keep one per worker.  `gtable`, when set, is a
-    `monsky.redei_g_table` that covers every divisor the cache is asked
-    about (odd ones only if it was built odd-only); g is then read from it
-    instead of being computed into `gvals`.  `ctx` holds the divisor
-    context of the last n seen, so the rows of one n share it.
+    shared across every n of a range.  Single writer per cache; share
+    read-only or keep one per worker.  g(d) is read from `gvals` when
+    present there, and otherwise computed and stored in it.  `ctx` holds
+    the divisor context of the last n seen, so the rows of one n share it.
     """
 
     lvals: dict[int, int] = field(default_factory=dict)
     gvals: dict[int, int] = field(default_factory=dict)
-    gtable: bytes | None = field(default=None, repr=False)
     ctx: "_Ctx | None" = field(default=None, repr=False, compare=False)
 
 
@@ -76,7 +74,7 @@ class _Ctx:
     """Divisor bookkeeping for one squarefree n: subset products, and the
     twist data restricted to a divisor when a g must be computed."""
 
-    __slots__ = ("f", "twist", "prods", "lvals", "gvals", "gtable")
+    __slots__ = ("f", "twist", "prods", "lvals", "gvals")
 
     def __init__(self, f: FactoredInteger, cache: LCache, twist: TwistData | None):
         # The memo tables, not the cache itself: the cache keeps its last
@@ -86,7 +84,6 @@ class _Ctx:
         self.twist = twist
         self.lvals = cache.lvals
         self.gvals = cache.gvals
-        self.gtable = cache.gtable
         primes = f.odd_primes
         r = len(primes)
         prods = [1] * (1 << r)
@@ -97,8 +94,6 @@ class _Ctx:
 
     def g(self, mask: int, with2: bool) -> int:
         d = self.prods[mask] * (2 if with2 else 1)
-        if self.gtable is not None:
-            return self.gtable[d]
         got = self.gvals.get(d)
         if got is not None:
             return got

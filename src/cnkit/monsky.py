@@ -28,9 +28,9 @@ from .gf2 import F2Matrix, F2Vector
 from .numtheory import (
     FactoredInteger,
     PrimeSieve,
-    factor_squarefree_range,
     legendre_plus,
     legendre_plus_bulk,
+    same_r_stacks,
 )
 
 __all__ = [
@@ -189,31 +189,28 @@ def redei_g_table(limit: int, sieve: PrimeSieve, odd_only: bool = False) -> byte
     """g(d) for every squarefree d <= limit, as one byte per d.
 
     Entry d is `redei_g` of d for squarefree d, 0 for the other d and, with
-    odd_only, 0 for every even d.  Built slice by slice: each slice is
-    factored at once, and its d of each prime count r get their forms of
-    `redei_g_parts` as r x r matrices, ranked in one `rank_batch` call:
-    A with its first column replaced by z for d = 1 (mod 4) (a column
-    permutation of [A without column 1 | z]), A + D_z for even d, and A
-    with its first row and column replaced by those of the identity for
-    d = 3 (mod 4).
+    odd_only, 0 for every even d.  Built stack by stack with
+    `numtheory.same_r_stacks`: the d of each prime count r get their
+    forms of `redei_g_parts` as r x r matrices, ranked in one
+    `rank_batch` call: A with its first column replaced by z for
+    d = 1 (mod 4) (a column permutation of [A without column 1 | z]),
+    A + D_z for even d, and A with its first row and column replaced by
+    those of the identity for d = 3 (mod 4).
     """
     table = np.zeros(max(limit, 0) + 1, dtype=np.uint8)
     table[1 : 2 if odd_only else 3] = 1  # g(1) = g(2) = 1
-    modulus = 2 if odd_only else 1
-    for lo in range(1, limit + 1, _G_SLICE):
-        ds, primes = factor_squarefree_range(lo, min(lo + _G_SLICE, limit + 1), sieve, 1, modulus)
-        r = (primes != 0).sum(axis=1)
-        for rv in range(1, primes.shape[1] + 1):
-            pick = r == rv
-            d = ds[pick]
-            a, _, z = twist_batch(primes[pick, :rv])
-            one, three, even = d % 4 == 1, d % 4 == 3, d % 2 == 0
-            a[one, :, 0] = z[one]
-            a[three, 0, :] = 0
-            a[three, :, 0] = 0
-            a[three, 0, 0] = 1
-            a[even] ^= z[even, :, None] * np.eye(rv, dtype=np.uint8)
-            table[d] = rank_batch(pack_rows(a)) == rv
+    for d, primes in same_r_stacks(1, limit + 1, _G_SLICE, sieve, 1, 2 if odd_only else 1):
+        rv = primes.shape[1]
+        if rv == 0:
+            continue  # d = 1 or 2, set above
+        a, _, z = twist_batch(primes)
+        one, three, even = d % 4 == 1, d % 4 == 3, d % 2 == 0
+        a[one, :, 0] = z[one]
+        a[three, 0, :] = 0
+        a[three, :, 0] = 0
+        a[three, 0, 0] = 1
+        a[even] ^= z[even, :, None] * np.eye(rv, dtype=np.uint8)
+        table[d] = rank_batch(pack_rows(a)) == rv
     return table.tobytes()
 
 

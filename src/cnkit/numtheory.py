@@ -4,10 +4,14 @@ Everything downstream consumes bits produced here: Legendre/Jacobi
 symbols in additive (F2) form, and squarefree integers together with
 their ordered odd prime factors.  Both come n by n (the reference) or in
 bulk as numpy arrays (`factor_squarefree_range`, `legendre_plus_bulk`).
+
+Range work is cut one way: `spans` into blocks or slices,
+`same_r_stacks` into same-r stacks, and `map_blocks` maps over blocks.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,6 +26,9 @@ __all__ = [
     "factor_squarefree",
     "try_factor_squarefree",
     "factor_squarefree_range",
+    "spans",
+    "same_r_stacks",
+    "map_blocks",
     "jacobi",
     "legendre",
     "legendre_plus",
@@ -72,9 +79,6 @@ class FactoredInteger:
     @property
     def r(self) -> int:
         return len(self.odd_primes)
-
-    def odd_part(self) -> int:
-        return self.n // 2 if self.is_even else self.n
 
 
 def sieve_init(limit: int, max_bytes: int = DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
@@ -155,6 +159,42 @@ def factor_squarefree_range(
     primes = primes[ok]
     r_max = int((primes != 0).sum(axis=1).max(initial=0))
     return ns[ok], primes[:, :r_max]
+
+
+def spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into consecutive (lo, hi) pairs at most width long."""
+    return [(a, min(a + width, hi)) for a in range(lo, hi, width)]
+
+
+def same_r_stacks(
+    lo: int, hi: int, width: int, sieve: PrimeSieve, residue: int = 0, modulus: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The squarefree n in [lo, hi) with n = residue (mod modulus), as
+    same-r stacks: [lo, hi) is cut into slices of width integers, each
+    slice is factored at once, and for each prime count r of the slice in
+    turn this yields (ns, primes), ns ascending and primes their (count, r)
+    array of odd primes."""
+    for s_lo, s_hi in spans(lo, hi, width):
+        ns, primes = factor_squarefree_range(s_lo, s_hi, sieve, residue, modulus)
+        r = (primes != 0).sum(axis=1)
+        for rv in np.unique(r).tolist():
+            pick = r == rv
+            yield ns[pick], primes[pick, :rv]
+
+
+def map_blocks(fn, blocks, workers: int = 1, initializer=None, initargs=()) -> Iterator:
+    """fn over blocks, results in block order: in a pool of workers
+    processes, each set up once by initializer(*initargs), or for one
+    worker in this process, with initializer(*initargs) run before each
+    block, so that runs consumed in turn do not see each other's state."""
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
+            yield from pool.map(fn, blocks)
+        return
+    for block in blocks:
+        if initializer is not None:
+            initializer(*initargs)
+        yield fn(block)
 
 
 def factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger:

@@ -11,6 +11,11 @@ from cnkit.cli import load_sieve, main, save_sieve
 from cnkit.numtheory import sieve_init
 
 
+@pytest.fixture(scope="module")
+def sieve_2000():
+    return sieve_init(2000)
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -118,25 +123,67 @@ def test_classcheck(capsys):
     assert len(out.splitlines()) == 1
 
 
-def test_verify_mismatch_exits_one(capsys, monkeypatch):
-    # force a failing row to exercise the mismatch stream and exit code
-    import cnkit.cli as cli
-    from cnkit.lfun import RowCheck
+def test_verify_mismatch_exits_one(sieve_2000, capsys, monkeypatch):
+    # A flipped g-table entry must show as mismatches: exit 1, sorted by n
+    # and then by row, each with its scalar determinant and matrix dump.
+    import cnkit.density as density
+    from cnkit.monsky import build_twist, row_det, row_matrix
+    from cnkit.numtheory import factor_squarefree
 
-    real = cli.verify_rows
+    real = density.redei_g_table
 
-    def sabotaged(f, cache, twist=None):
-        out = real(f, cache, twist)
-        if f.n == 33:
-            out["1"] = RowCheck(sum_value=1, det_value=0)
-        return out
+    def flipped(*args, **kwargs):
+        table = bytearray(real(*args, **kwargs))
+        table[13] ^= 1
+        return bytes(table)
 
-    monkeypatch.setattr(cli, "verify_rows", sabotaged)
-    code, out = run(["verify", "--max-n", "50"], capsys)
+    monkeypatch.setattr(density, "redei_g_table", flipped)
+    code, out = run(["verify", "--max-n", "2000"], capsys)
     assert code == 1
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("33,1,1,0,")  # n, row, sum, det, matrix dump
+    rows = list(csv.DictReader(out.splitlines()))
+    assert out.splitlines()[0] == "n,row,sum_value,det_value,matrix"
+    keys = [(int(r["n"]), r["row"]) for r in rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len({n % 8 for n, _ in keys}) > 1
+    for r in rows:
+        twist = build_twist(factor_squarefree(int(r["n"]), sieve_2000))
+        assert json.loads(r["matrix"]) == row_matrix(r["row"], twist).tolist()
+        assert int(r["det_value"]) == row_det(r["row"], twist)
+        assert int(r["sum_value"]) == 1 - int(r["det_value"])
+
+
+def test_verify_reports_rows_checked(capsys):
+    from cnkit.monsky import rows_for_residue
+    from cnkit.numtheory import is_squarefree_small
+
+    squarefree = [n for n in range(1, 2001) if is_squarefree_small(n)]
+    rows = sum(len(rows_for_residue(n % 8)) for n in squarefree)
+    assert main(["verify", "--max-n", "2000"]) == 0
+    err = capsys.readouterr().err
+    assert err == f"checked: {rows} rows over {len(squarefree)} n\n"
+
+
+def test_clean_range_builds_no_scalar_twist(capsys, monkeypatch):
+    # verify and certify run on the bulk engine: on a clean range no
+    # scalar factorization, twist, divisor sum or row check is made.
+    import cnkit.lfun as lfun
+    import cnkit.monsky as monsky
+    import cnkit.numtheory as numtheory
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar path called")
+
+    for mod, names in (
+        (numtheory, ("try_factor_squarefree", "enumerate_squarefree")),
+        (monsky, ("build_twist",)),
+        (lfun, ("build_twist", "divisor_sum", "verify_rows")),
+        (cli, ("build_twist", "factor_squarefree", "enumerate_squarefree")),
+    ):
+        for name in names:
+            monkeypatch.setattr(mod, name, forbidden)
+    assert main(["verify", "--max-n", "3000"]) == 0
+    assert main(["certify", "--residue", "7", "--max-n", "3000"]) == 0
+    capsys.readouterr()
 
 
 def test_classcheck_disagreement_exits_one(capsys, monkeypatch):

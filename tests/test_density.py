@@ -37,6 +37,42 @@ def test_certified_table_small(sieve):
         list(certified_table(1, 10, sieve))
 
 
+@pytest.mark.parametrize("residue", [5, 6, 7])
+def test_certified_table_matches_scalar(sieve, residue):
+    # Every squarefree n <= 1e5, n by n: the first row with a nonzero
+    # scalar divisor sum (g computed, not tabulated) and rank3_indicator.
+    from cnkit.density import Certificate
+    from cnkit.lfun import LCache, divisor_sum
+    from cnkit.monsky import build_twist, rank3_indicator, rows_for_residue
+    from cnkit.numtheory import try_factor_squarefree
+
+    limit = 10 ** 5
+    cache = LCache()
+    want = []
+    for n in range(residue, limit + 1, 8):
+        f = try_factor_squarefree(n, sieve)
+        if f is None:
+            continue
+        hits = [row for row in rows_for_residue(residue) if divisor_sum(row, f, cache)]
+        if hits:
+            want.append(Certificate(n, residue, hits[0], rank3_indicator(build_twist(f)), 1))
+    got = list(certified_table(residue, limit, sieve))
+    assert got == want
+    assert {c.row for c in got} == set(rows_for_residue(residue))
+    assert all(type(c.n) is int and type(c.rank3) is bool for c in got)
+
+
+def test_certified_tables_consumed_in_turn():
+    # Two lazy tables over different ranges and sieves, interleaved, give
+    # what each gives alone: a serial run holds no state across blocks.
+    big, small = sieve_init(140_000), sieve_init(70_000)
+    want = list(certified_table(7, 140_000, big))
+    first = certified_table(7, 140_000, big)
+    head = [next(first)]
+    assert list(certified_table(5, 70_000, small)) == list(certified_table(5, 70_000, big))
+    assert head + list(first) == want
+
+
 def test_certified_subset_of_rank3(sieve):
     rep = scan(5, 20000, sieve)
     certs = list(certified_table(5, 20000, sieve))

@@ -9,7 +9,6 @@ from cnkit.gf2 import (
     block,
     corank,
     det,
-    in_column_space,
     rank,
     rows_normalized,
     submatrix,
@@ -142,26 +141,6 @@ def test_block_assembly():
     assert m.tolist() == [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
     with pytest.raises(ValueError):
         block([[i2, F2Matrix.zeros(3, 1)]])
-
-
-def test_in_column_space():
-    rng = np.random.default_rng(8)
-    m = F2Matrix.from_rows([[1], [1]])
-    assert not in_column_space(m, F2Vector.from_bits([1, 0]))
-    assert in_column_space(m, F2Vector.from_bits([1, 1]))
-    for _ in range(100):
-        m = random_matrix(rng, 6, 4)
-        assert in_column_space(m, F2Vector.zeros(6))
-        # random combination of columns is always inside
-        coeffs = rng.integers(0, 2, size=4)
-        v = F2Vector.zeros(6)
-        for j, c in enumerate(coeffs):
-            if c:
-                v = v + m.column(j)
-        assert in_column_space(m, v)
-    assert in_column_space(F2Matrix.identity(3), F2Vector.from_bits([1, 1, 0]))
-    with pytest.raises(ValueError):
-        in_column_space(F2Matrix.identity(3), F2Vector.zeros(2))
 
 
 def test_alternating_rank_even():

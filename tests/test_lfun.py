@@ -198,11 +198,12 @@ def test_cache_consistency(sieve):
 
 def _batch_and_scalar(residue, limit, sieve, gtable):
     """Per same-r stack of squarefree n = residue (mod 8) up to limit:
-    (r, batched sums, scalar sums), both as (count, rows) bool arrays."""
+    (r, batched sums, scalar sums), both as (count, rows) bool arrays.
+    The scalar sums read g from the same table, seeded into the cache."""
     ns, primes = factor_squarefree_range(1, limit + 1, sieve, residue, 8)
     r = (primes != 0).sum(axis=1)
     rows = rows_for_residue(residue)
-    cache = LCache(gtable=gtable)
+    cache = LCache(gvals=dict(enumerate(gtable)))
     for rv in np.unique(r).tolist():
         pick = r == rv
         stack = primes[pick, :rv]

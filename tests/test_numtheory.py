@@ -15,7 +15,10 @@ from cnkit.numtheory import (
     legendre,
     legendre_plus,
     legendre_plus_bulk,
+    map_blocks,
+    same_r_stacks,
     sieve_init,
+    spans,
     try_factor_squarefree,
 )
 
@@ -172,7 +175,7 @@ def test_factor_small(sieve):
 
 def test_factored_integer_r():
     f = FactoredInteger(n=1, odd_primes=(), is_even=False)
-    assert f.r == 0 and f.odd_part() == 1
+    assert f.r == 0
 
 
 def _scalar_range(lo, hi, sieve, residue=0, modulus=1):
@@ -248,3 +251,25 @@ def test_legendre_plus_bulk_rejects_overflow_and_zero():
         legendre_plus(-1, p),
         legendre_plus(2, p),
     ]
+
+
+@pytest.mark.parametrize("residue,modulus", [(0, 1), (3, 4), (6, 8)])
+def test_same_r_stacks_regroup_the_range(sieve, residue, modulus):
+    ns, primes = factor_squarefree_range(5, 20_000, sieve, residue, modulus)
+    want = {n: tuple(p for p in row if p) for n, row in zip(ns.tolist(), primes.tolist())}
+    got = {}
+    for stack_ns, stack in same_r_stacks(5, 20_000, 1000, sieve, residue, modulus):
+        assert stack.shape[0] == stack_ns.size > 0 and (stack != 0).all()
+        assert (stack_ns[1:] > stack_ns[:-1]).all()
+        got.update(zip(stack_ns.tolist(), map(tuple, stack.tolist())))
+    assert got == want
+
+
+def test_map_blocks_order_and_initializer():
+    blocks = spans(0, 10, 3)
+    assert blocks == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert spans(4, 4, 3) == []
+    seen = []
+    assert list(map_blocks(sum, blocks, 1, seen.append, ("init",))) == [3, 9, 15, 19]
+    assert seen == ["init"] * 4
+    assert list(map_blocks(sum, blocks, workers=2)) == [3, 9, 15, 19]
