@@ -9,15 +9,18 @@ block matrices used to relate them, and the 2-Selmer rank formulas.
 The scalar code (`build_twist`, `redei_g_parts`, `row_matrix_parts`,
 `row_det`, `rank3_indicator`, `selmer_rank`) is the readable reference.
 Scans use its batched mirror: `twist_batch` builds (A, y, z) for a stack
-of same-r n as uint8 arrays, `redei_g_table` tabulates g(d) for every
-squarefree d up to a limit, `row_matrix_batch` assembles one form for a
-stack of same-r twists as a (count, m, m) bit array, and `form_coranks`
-ranks several forms of such a stack with one `rank_batch` call.
+of same-r n as uint8 arrays, the symbols of A looked up in the
+quadratic-residue table of `numtheory.legendre_plus_bulk`;
+`redei_g_table` tabulates g(d) for every squarefree d up to a limit;
+`row_matrix_batch` assembles one form for a stack of same-r twists as a
+(count, m, m) bit array; and `form_coranks` ranks several forms of such
+a stack with one `rank_batch` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -128,26 +131,36 @@ def build_twist(f: FactoredInteger) -> TwistData:
     return TwistData(f=f, y=y, z=z, a=twist_matrix(primes))
 
 
+@cache
+def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """triu_indices(r, 1) and the diagonal arange(r), read-only."""
+    idx = (*np.triu_indices(r, 1), np.arange(r))
+    for v in idx:
+        v.setflags(write=False)
+    return idx
+
+
 def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`build_twist` for a stack of squarefree n with r odd primes each.
 
     Row k of the (count, r) array primes holds the odd primes of the k-th
     n, ascending.  Returns (a, y, z) as 0/1 uint8 arrays of shapes
     (count, r, r), (count, r) and (count, r).  y and z come from p mod 8,
-    the symbols of A above the diagonal from Euler's criterion, those
-    below by quadratic reciprocity (A_ij + A_ji = y_i y_j), and the
-    diagonal from the row sums.
+    the symbols of A above the diagonal from the quadratic-residue table
+    of `legendre_plus_bulk` (so the smaller prime of each pair must lie
+    below `numtheory.QR_TABLE_CAP`, else ValueError), those below by
+    quadratic reciprocity (A_ij + A_ji = y_i y_j), and the diagonal from
+    the row sums.
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape
     y = (primes % 4 == 3).astype(np.uint8)
     z = ((primes % 8 == 3) | (primes % 8 == 5)).astype(np.uint8)
-    i, j = np.triu_indices(r, 1)
+    i, j, ii = _pair_indices(r)
     upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
     a = np.zeros((count, r, r), dtype=np.uint8)
     a[:, i, j] = upper
     a[:, j, i] = upper ^ (y[:, i] & y[:, j])
-    ii = np.arange(r)
     a[:, ii, ii] = a.sum(axis=2, dtype=np.int64) & 1
     return a, y, z
 

@@ -4,6 +4,9 @@ Everything downstream consumes bits produced here: Legendre/Jacobi
 symbols in additive (F2) form, and squarefree integers together with
 their ordered odd prime factors.  Both come n by n (the reference) or in
 bulk as numpy arrays (`factor_squarefree_range`, `legendre_plus_bulk`).
+The bulk symbols are one lookup in a table of quadratic characters
+modulo every odd prime below a power of two, built once per process and
+capped at `QR_TABLE_CAP`.
 
 Range work is cut one way: `spans` into blocks or slices,
 `same_r_stacks` into same-r stacks, and `map_blocks` maps over blocks.
@@ -33,6 +36,7 @@ __all__ = [
     "legendre",
     "legendre_plus",
     "legendre_plus_bulk",
+    "QR_TABLE_CAP",
     "is_square_class",
     "factor_small",
     "is_squarefree_small",
@@ -241,28 +245,63 @@ def legendre_plus(d: int, p: int) -> int:
     return (1 - legendre(d, p)) // 2
 
 
-# Euler's criterion multiplies two residues below p in int64.
-_EULER_MAX_P = 2 ** 31
+# Moduli of `legendre_plus_bulk` lie below this cap.  It covers the
+# smaller prime of every pair of an n in the largest sieve the default
+# budget allows (n <= 2**30), and its table holds about 54 MB.
+QR_TABLE_CAP = 2 ** 15
+
+# (bound, offset, bits): the additive quadratic characters modulo every
+# odd prime p < bound, (x/p)_+ at bits[offset[p] + x], with offset -1 at
+# every other index.  Only the largest table built is kept.
+_QR_TABLE: tuple[int, np.ndarray, np.ndarray] = (0, np.empty(0, np.int64), np.empty(0, np.uint8))
+
+
+def _qr_table(p_max: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """A table serving every odd prime p <= p_max: the one at hand, or a
+    new one for the next power of two above p_max."""
+    global _QR_TABLE
+    table = _QR_TABLE
+    if p_max >= table[0]:
+        bound = 1 << p_max.bit_length()
+        is_odd_prime = sieve_init(bound - 1).spf == np.arange(bound)
+        is_odd_prime[:3] = False
+        primes = np.flatnonzero(is_odd_prime)
+        starts = np.cumsum(primes) - primes
+        offset = np.full(bound, -1, dtype=np.int64)
+        offset[primes] = starts
+        bits = np.ones(int(primes.sum()), dtype=np.uint8)
+        for p, start in zip(primes.tolist(), starts.tolist()):
+            x = np.arange(1, (p + 1) // 2, dtype=np.int64)
+            bits[start + x * x % p] = 0
+        table = _QR_TABLE = (bound, offset, bits)
+    return table
+
+
+def _not_an_odd_prime(p: int) -> ValueError:
+    return ValueError(f"p must be an odd prime below 2**15, got {p}")
 
 
 def legendre_plus_bulk(d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Additive Legendre symbols (d/p)_+ elementwise, for odd primes p not
-    dividing d, by Euler's criterion: d^((p-1)/2) is 1 or -1 mod p.
+    """Additive Legendre symbols (d/p)_+ elementwise, for odd primes
+    p < QR_TABLE_CAP not dividing d, looked up in one table of quadratic
+    characters built once per process.
 
     d and p broadcast against each other; returns uint8 0/1.
     """
-    p = np.asarray(p, dtype=np.int64)
-    if p.size and int(p.max()) >= _EULER_MAX_P:
-        raise ValueError(f"Euler's criterion needs p < 2**31 in int64, got {int(p.max())}")
-    base, p = np.broadcast_arrays(np.asarray(d, dtype=np.int64) % p, p)
-    if (base == 0).any():
+    d, p = np.broadcast_arrays(np.asarray(d, dtype=np.int64), np.asarray(p, dtype=np.int64))
+    if p.size == 0:
+        return np.zeros(p.shape, dtype=np.uint8)
+    p_min, p_max = int(p.min()), int(p.max())
+    if p_min < 3 or p_max >= QR_TABLE_CAP:
+        raise _not_an_odd_prime(p_min if p_min < 3 else p_max)
+    _, offset, bits = _qr_table(p_max)
+    start = offset[p]
+    if (start < 0).any():
+        raise _not_an_odd_prime(int(p[start < 0][0]))
+    rem = d % p
+    if (rem == 0).any():
         raise ValueError("p divides d")
-    e = (p - 1) >> 1
-    acc = np.ones_like(p)
-    for bit in range(int(e.max(initial=0)).bit_length()):
-        acc = np.where((e >> bit) & 1 == 1, acc * base % p, acc)
-        base = base * base % p
-    return (acc != 1).astype(np.uint8)
+    return bits[start + rem]
 
 
 def _square_classes_mod(mod: int) -> frozenset[int]:

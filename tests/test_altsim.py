@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cnkit import altsim, gf2
+from cnkit import altsim, gf2, numtheory
 from cnkit.altsim import (
     ENSEMBLE_LABELS,
     AltConfig,
@@ -35,6 +35,7 @@ from cnkit._batchrank import pack_rows, rank_batch
 from cnkit.gf2 import F2Matrix
 from cnkit.lfun import LCache
 from cnkit.numtheory import (
+    FactoredInteger,
     ResourceLimitError,
     enumerate_squarefree,
     factor_squarefree,
@@ -424,6 +425,19 @@ def test_four_rank_batch_edges():
         four_rank_batch(np.array([[5]]))
     with pytest.raises(ValueError):
         four_rank_batch(np.array([[3, 7]]))  # 21 = 1 (mod 4)
+
+
+def test_four_rank_batch_rejects_pairs_above_the_table_cap(monkeypatch):
+    empty = (0, np.empty(0, np.int64), np.empty(0, np.uint8))
+    monkeypatch.setattr(numtheory, "_QR_TABLE", empty)
+    # 32771 = 3 and 32789 = 1 (mod 4): the smaller prime is above 2**15,
+    # which fails before any table is built.
+    with pytest.raises(ValueError, match=r"2\*\*15"):
+        four_rank_batch(np.array([[7, 13], [32771, 32789]]))
+    assert numtheory._QR_TABLE is empty
+    # Only the smaller prime of a pair is a modulus.
+    f = FactoredInteger(n=7 * 32789, odd_primes=(7, 32789), is_even=False)
+    assert four_rank_batch(np.array([f.odd_primes])).tolist() == [four_rank(f)]
 
 
 def test_four_rank_index_independence(sieve):

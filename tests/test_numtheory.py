@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from cnkit import numtheory
 from cnkit.numtheory import (
+    DEFAULT_SIEVE_BUDGET,
+    QR_TABLE_CAP,
     FactoredInteger,
     NotSquarefreeError,
     ResourceLimitError,
@@ -237,20 +240,55 @@ def test_legendre_plus_bulk_matches_scalar(sieve):
         assert legendre_plus_bulk(dd, primes).tolist() == [legendre_plus(dd, int(q)) for q in primes]
 
 
-def test_legendre_plus_bulk_rejects_overflow_and_zero():
-    # Euler's criterion would square residues near 2**31 in int64.
-    with pytest.raises(ValueError, match="2\\*\\*31"):
-        legendre_plus_bulk(np.array([3]), np.array([2 ** 31 + 11]))
-    with pytest.raises(ValueError):
+def test_legendre_plus_bulk_every_residue_below_2048(sieve):
+    for p in range(3, 2048, 2):
+        if sieve.is_prime(p):
+            d = np.concatenate([np.arange(1, p), [-1, 2, -2]])
+            want = [legendre_plus(int(x), p) for x in d]
+            assert legendre_plus_bulk(d, p).tolist() == want, p
+
+
+def test_legendre_plus_bulk_table_grows_and_serves_smaller(monkeypatch):
+    monkeypatch.setattr(
+        numtheory, "_QR_TABLE", (0, np.empty(0, np.int64), np.empty(0, np.uint8))
+    )
+    bounds = []
+    for p in (13, 1999, 31, 4093, 997):
+        d = np.arange(-p, 2 * p)
+        d = d[d % p != 0]
+        assert legendre_plus_bulk(d, p).tolist() == [legendre_plus(int(x), p) for x in d], p
+        bounds.append(numtheory._QR_TABLE[0])
+    # Only the largest table is kept, and it serves every smaller prime.
+    assert bounds == [16, 2048, 2048, 4096, 4096]
+
+
+def test_legendre_plus_bulk_rejects_overflow_and_zero(monkeypatch):
+    # Drop the 2**15 table this test builds when it ends.
+    monkeypatch.setattr(numtheory, "_QR_TABLE", numtheory._QR_TABLE)
+    for p in (2 ** 15 + 3, 2 ** 31 + 11):
+        with pytest.raises(ValueError, match=r"odd prime below 2\*\*15"):
+            legendre_plus_bulk(np.array([3]), np.array([p]))
+    with pytest.raises(ValueError, match=r"below 2\*\*15"):
         legendre_plus_bulk(np.array([3, 5]), np.array([7, 2 ** 40]))
+    # Composite, even, unit and negative moduli are no odd primes, even
+    # where the Jacobi symbol is 1, as for (2/9) and (5/9).
+    for d, p in ((2, 9), (5, 9), (7, 15), (3, 2), (3, 4), (3, 1), (3, 0), (3, -7)):
+        with pytest.raises(ValueError, match="odd prime"):
+            legendre_plus_bulk(np.array([d]), np.array([p]))
     with pytest.raises(ValueError, match="divides"):
         legendre_plus_bulk(np.array([21]), np.array([7]))
-    # The largest prime below 2**31 is still served.
-    p = 2 ** 31 - 1
-    assert legendre_plus_bulk(np.array([-1, 2]), np.array([p, p])).tolist() == [
-        legendre_plus(-1, p),
-        legendre_plus(2, p),
+    # The largest prime below 2**15 is still served.
+    p = 32749
+    assert legendre_plus_bulk(np.array([-1, 2, 3]), p).tolist() == [
+        legendre_plus(x, p) for x in (-1, 2, 3)
     ]
+
+
+def test_qr_table_cap_covers_the_largest_default_sieve():
+    # The largest default sieve holds n < DEFAULT_SIEVE_BUDGET // 4 (one
+    # uint32 per integer); the smaller prime of a pair of such an n lies
+    # below its square root, hence below the cap.
+    assert QR_TABLE_CAP ** 2 >= DEFAULT_SIEVE_BUDGET // 4 == 2 ** 30
 
 
 @pytest.mark.parametrize("residue,modulus", [(0, 1), (3, 4), (6, 8)])
