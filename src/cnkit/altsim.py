@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 import numpy as np
 
@@ -368,7 +368,10 @@ def alpha(k: int) -> float:
     (within the parity class k = t + delta mod 2)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = 2.0 ** (k + 1) * _INV_PROD
+    try:
+        out = 2.0 ** (k + 1) * _INV_PROD
+    except OverflowError:  # k >= 1023, where alpha has been 0.0 since k = 47
+        return 0.0
     for j in range(1, k + 1):
         out /= 2.0 ** j - 1.0
     return out
@@ -383,8 +386,13 @@ def markov_step(k: int) -> tuple[float, float, float]:
 
 
 def _stationary(states: list[int], step, tol: float, max_iter: int) -> dict[int, float]:
-    idx = {k: i for i, k in enumerate(states)}
+    """Power iteration on the dense transition matrix over states."""
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = len(states)
+    if 8 * n * n > MC_BUDGET:  # checked before the float64 matrix is allocated
+        raise ResourceLimitError(f"a chain on {n} states needs {8 * n * n} bytes, over {MC_BUDGET}")
+    idx = {k: i for i, k in enumerate(states)}
     p = np.zeros((n, n))
     for k in states:
         i = idx[k]
@@ -505,7 +513,7 @@ def equivalence_check(
 # --- Monte Carlo over bit assignments --------------------------------------------
 
 MC_BLOCK = 4096
-MC_BUDGET = 2 ** 30  # bytes that one block of draws or matrices may take
+MC_BUDGET = 2 ** 30  # bytes that one Monte Carlo block or one chain matrix may take
 
 
 def _check_block(r: int, count: int, per_sample: int) -> None:

@@ -327,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

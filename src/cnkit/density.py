@@ -183,11 +183,10 @@ def _check_limit(limit: int, sieve: PrimeSieve) -> None:
 def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, gtable=None, workers=1):
     """block over the BLOCK-long pieces of [1, limit] for n = residue
     (mod 8), results in block order; every worker holds the sieve and
-    gtable, by default the g table of the range (odd-only for odd
-    residues)."""
+    gtable, by default the g table of the range."""
     _check_limit(limit, sieve)
     if gtable is None:
-        gtable = redei_g_table(limit, sieve, odd_only=residue % 2 == 1)
+        gtable = redei_g_table(limit, sieve)
     blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
     return map_blocks(block, blocks, workers, _init_worker, (sieve, gtable))
 

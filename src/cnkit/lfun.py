@@ -354,7 +354,7 @@ def divisor_sums_batch(
 
     ns are squarefree n = residue (mod 8); primes is their (count, r)
     int64 array of odd primes; gtable is a `monsky.redei_g_table` covering
-    every n (odd-only suffices for odd residues).
+    every n.
     """
     ns = np.asarray(ns, dtype=np.int64)
     out = np.empty((ns.size, len(rows_for_residue(residue))), dtype=bool)

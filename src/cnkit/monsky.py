@@ -11,10 +11,12 @@ The scalar code (`build_twist`, `redei_g_parts`, `row_matrix_parts`,
 Scans use its batched mirror: `twist_batch` builds (A, y, z) for a stack
 of same-r n as uint8 arrays, the symbols of A looked up in the
 quadratic-residue table of `numtheory.legendre_plus_bulk`;
-`redei_g_table` tabulates g(d) for every squarefree d up to a limit;
-`row_matrix_batch` assembles one form for a stack of same-r twists as a
-(count, m, m) bit array; and `form_coranks` ranks several forms of such
-a stack with one `rank_batch` call.
+`redei_g_table` tabulates g(d) for every squarefree d up to a limit,
+factoring only odd d and ranking the forms of d and 2d together; and
+the eight row forms are data, one entry each of the `_ROW_FORMS` border
+table, from which `row_matrix_batch` assembles a form for a stack of
+same-r twists as a (count, m, m) bit array and `form_coranks` ranks
+several forms of such a stack with one `rank_batch` call.
 """
 
 from __future__ import annotations
@@ -66,24 +68,8 @@ __all__ = [
 
 # Residue rows, named by n mod 8 with the a/b variants for 5 and 7.
 ROW_LABELS = ("1", "2", "3", "5a", "5b", "6", "7a", "7b")
-ROW_RESIDUE = {
-    "1": 1,
-    "2": 2,
-    "3": 3,
-    "5a": 5,
-    "5b": 5,
-    "6": 6,
-    "7a": 7,
-    "7b": 7,
-}
-_ROWS_BY_RESIDUE = {
-    1: ("1",),
-    2: ("2",),
-    3: ("3",),
-    5: ("5a", "5b"),
-    6: ("6",),
-    7: ("7a", "7b"),
-}
+_ROWS_BY_RESIDUE = {1: ("1",), 2: ("2",), 3: ("3",), 5: ("5a", "5b"), 6: ("6",), 7: ("7a", "7b")}
+ROW_RESIDUE = {row: t for t, rows in _ROWS_BY_RESIDUE.items() for row in rows}
 
 
 def rows_for_residue(t: int) -> tuple[str, ...]:
@@ -198,32 +184,33 @@ def redei_g(f: FactoredInteger) -> int:
 _G_SLICE = 1 << 13
 
 
-def redei_g_table(limit: int, sieve: PrimeSieve, odd_only: bool = False) -> bytes:
-    """g(d) for every squarefree d <= limit, as one byte per d.
+def redei_g_table(limit: int, sieve: PrimeSieve) -> bytes:
+    """g(d) for every squarefree d <= limit, as one byte per d (0 for the
+    other d).
 
-    Entry d is `redei_g` of d for squarefree d, 0 for the other d and, with
-    odd_only, 0 for every even d.  Built stack by stack with
-    `numtheory.same_r_stacks`: the d of each prime count r get their
-    forms of `redei_g_parts` as r x r matrices, ranked in one
-    `rank_batch` call: A with its first column replaced by z for
-    d = 1 (mod 4) (a column permutation of [A without column 1 | z]),
-    A + D_z for even d, and A with its first row and column replaced by
-    those of the identity for d = 3 (mod 4).
+    An odd d and 2d share the (A, z) of d, so only odd d are factored,
+    stack by stack with `numtheory.same_r_stacks`, and the r x r forms of
+    `redei_g_parts` of a stack's d, and of 2d wherever 2d <= limit, are
+    ranked in one `rank_batch` call: A with its first column replaced by
+    z for d = 1 (mod 4) (a column permutation of [A without column 1 |
+    z]), A with its first row and column replaced by those of the
+    identity for d = 3 (mod 4), and A + D_z for 2d.  g = 1 iff the form
+    has full rank, as the 0 x 0 forms of d = 1 and 2 do.
     """
     table = np.zeros(max(limit, 0) + 1, dtype=np.uint8)
-    table[1 : 2 if odd_only else 3] = 1  # g(1) = g(2) = 1
-    for d, primes in same_r_stacks(1, limit + 1, _G_SLICE, sieve, 1, 2 if odd_only else 1):
+    for d, primes in same_r_stacks(1, limit + 1, _G_SLICE, sieve, 1, 2):
         rv = primes.shape[1]
-        if rv == 0:
-            continue  # d = 1 or 2, set above
         a, _, z = twist_batch(primes)
-        one, three, even = d % 4 == 1, d % 4 == 3, d % 2 == 0
-        a[one, :, 0] = z[one]
-        a[three, 0, :] = 0
-        a[three, :, 0] = 0
-        a[three, 0, 0] = 1
-        a[even] ^= z[even, :, None] * np.eye(rv, dtype=np.uint8)
-        table[d] = rank_batch(pack_rows(a)) == rv
+        double = d <= limit // 2
+        a2 = a[double] ^ z[double, :, None] * np.eye(rv, dtype=np.uint8)
+        one, three = d % 4 == 1, d % 4 == 3
+        # Slices rather than index 0, which an r = 0 stack lacks.
+        a[one, :, :1] = z[one, :, None]
+        a[three, :1] = 0
+        a[three, :, :1] = np.eye(rv, 1, dtype=np.uint8)
+        full = rank_batch(pack_rows(np.concatenate([a, a2]))) == rv
+        table[d] = full[: d.size]
+        table[2 * d[double]] = full[d.size :]
     return table.tobytes()
 
 
@@ -302,54 +289,58 @@ def row_det(row: str, t: TwistData) -> int:
 # --- batched forms --------------------------------------------------------------
 
 
+# Every row form is [[B + D_s, A^T, top], [A, D_z, bottom], [top^T,
+# bottom^T, 0]] with B = A + A^T and s = y + z, as in `row_matrix_parts`.
+# Per label: the diagonal of B, and the (top, bottom) pair of each border
+# column, each y, u = y + z or 0.
+_ROW_FORMS = {
+    "1": ("0", ()),
+    "2": ("u", ()),
+    "3": ("0", (("y", "0"),)),
+    "5a": ("0", (("u", "0"),)),
+    "5b": ("0", (("0", "y"),)),
+    "6": ("u", (("y", "y"),)),
+    "7a": ("0", (("u", "0"), ("0", "y"))),
+    "7b": ("0", (("u", "0"), ("y", "0"))),
+}
+
+
+def _form_size(row: str, r: int) -> int:
+    if row not in _ROW_FORMS:
+        raise ValueError(f"unknown row label {row!r}")
+    return 2 * r + len(_ROW_FORMS[row][1])
+
+
+def _fill_form(out: np.ndarray, row: str, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+    """Write the bits of form `row` into the top-left corner of the
+    (count, M, M) array out, which must hold zeros there."""
+    diag, borders = _ROW_FORMS[row]
+    r = y.shape[1]
+    i = np.arange(r)
+    at = a.transpose(0, 2, 1)
+    vec = {"y": y, "u": y ^ z, "0": 0}
+    out[:, :r, :r] = a ^ at
+    out[:, i, i] = vec[diag]
+    out[:, :r, r : 2 * r] = at
+    out[:, r : 2 * r, :r] = a
+    out[:, r + i, r + i] = z
+    for c, pair in enumerate(borders, 2 * r):
+        for lo, name in zip((0, r), pair):
+            out[:, lo : lo + r, c] = out[:, c, lo : lo + r] = vec[name]
+
+
 def row_matrix_batch(row: str, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Bits of `row_matrix_parts` for a stack of same-r triples.
 
     a is a (count, r, r) and y, z are (count, r) 0/1 uint8 arrays; the
     result is (count, m, m) with entry [k, i, j] the (i, j) entry of the
-    k-th form.  The grids mirror `row_matrix_parts` block for block.
+    k-th form, filled from the row's entry of the `_ROW_FORMS` table.
     """
     count, r = y.shape
-    eye = np.eye(r, dtype=np.uint8)
-    at = a.transpose(0, 2, 1)
-    b = a ^ at
-    u = y ^ z
-    dz = z[:, :, None] * eye
-    b2 = b ^ (u[:, :, None] * eye)
-    yc, yr = y[:, :, None], y[:, None, :]
-    uc, ur = u[:, :, None], u[:, None, :]
-    z0 = np.zeros((count, r, 1), dtype=np.uint8)
-    z0r = np.zeros((count, 1, r), dtype=np.uint8)
-    zero = np.zeros((count, 1, 1), dtype=np.uint8)
-    if row == "1":
-        grid = [[b, at], [a, dz]]
-    elif row == "2":
-        grid = [[b2, at], [a, dz]]
-    elif row == "3":
-        grid = [[b, at, yc], [a, dz, z0], [yr, z0r, zero]]
-    elif row == "5a":
-        grid = [[b, at, uc], [a, dz, z0], [ur, z0r, zero]]
-    elif row == "5b":
-        grid = [[b, at, z0], [a, dz, yc], [z0r, yr, zero]]
-    elif row == "6":
-        grid = [[b2, at, yc], [a, dz, yc], [yr, yr, zero]]
-    elif row == "7a":
-        grid = [
-            [b, at, uc, z0],
-            [a, dz, z0, yc],
-            [ur, z0r, zero, zero],
-            [z0r, yr, zero, zero],
-        ]
-    elif row == "7b":
-        grid = [
-            [b, at, uc, yc],
-            [a, dz, z0, z0],
-            [ur, z0r, zero, zero],
-            [yr, z0r, zero, zero],
-        ]
-    else:
-        raise ValueError(f"unknown row label {row!r}")
-    return np.block(grid)
+    m = _form_size(row, r)
+    out = np.zeros((count, m, m), dtype=np.uint8)
+    _fill_form(out, row, a, y, z)
+    return out
 
 
 def form_coranks(
@@ -363,20 +354,15 @@ def form_coranks(
     alone, so all of them are ranked in one `rank_batch` call.  Returns a
     (len(labels), count) array; corank 0 means determinant 1.
     """
-    count = a.shape[0]
-    forms = [row_matrix_batch(label, a, y, z) for label in labels]
-    m = max(form.shape[-1] for form in forms)
-    w = (m + 63) // 64
-    words = np.zeros((len(forms), count, m, w), dtype=np.uint64)
-    for i in range(m):
-        words[:, :, i, i // 64] = np.uint64(1 << (i % 64))
-    # Packed form by form: the forms differ in size, and each fills the
-    # top-left corner of its identity block.
-    for k, form in enumerate(forms):
-        s = form.shape[-1]
-        words[k, :, :s, : (s + 63) // 64] = pack_rows(form)
-    ranks = rank_batch(words.reshape(len(forms) * count, m, w))
-    return m - ranks.reshape(len(forms), count)
+    count, r = y.shape
+    sizes = [_form_size(label, r) for label in labels]
+    m = max(sizes)
+    forms = np.zeros((len(labels), count, m, m), dtype=np.uint8)
+    for form, label, s in zip(forms, labels, sizes):
+        _fill_form(form, label, a, y, z)
+        form[:, range(s, m), range(s, m)] = 1
+    ranks = rank_batch(pack_rows(forms.reshape(len(labels) * count, m, m)))
+    return m - ranks.reshape(len(labels), count)
 
 
 # --- auxiliary block matrices -------------------------------------------------

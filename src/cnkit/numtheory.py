@@ -187,10 +187,11 @@ def same_r_stacks(
 
 
 def map_blocks(fn, blocks, workers: int = 1, initializer=None, initargs=()) -> Iterator:
-    """fn over blocks, results in block order: in a pool of workers
-    processes, each set up once by initializer(*initargs), or for one
-    worker in this process, with initializer(*initargs) run before each
-    block, so that runs consumed in turn do not see each other's state."""
+    """fn over the sequence blocks, results in block order: in a pool of
+    min(workers, len(blocks)) processes, each set up once by
+    initializer(*initargs), or else in this process, with it run before
+    each block, so that runs consumed in turn do not see each other's state."""
+    workers = min(workers, len(blocks))
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
             yield from pool.map(fn, blocks)

@@ -182,6 +182,13 @@ def test_alpha_values():
     assert abs(odd - 1.0) < 1e-12
 
 
+def test_alpha_past_the_float_range():
+    # 2^(k+1) overflows a float from k = 1023 on; alpha is 0.0 from k = 47.
+    assert alpha(46) > 0.0
+    assert all(alpha(k) == 0.0 for k in range(47, 1023))
+    assert alpha(1023) == alpha(1100) == 0.0
+
+
 def test_markov_step_values():
     assert markov_step(0) == (0.5, 0.5, 0.0)
     assert markov_step(1) == (0.125, 0.875, 0.0)
@@ -203,6 +210,23 @@ def test_markov_stationary_matches_alpha():
         markov_stationary("sideways")
     with pytest.raises(ValueError):
         markov_stationary("even", k_max=4)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+def test_markov_rejects_tol_before_iterating(tol):
+    # max_iter=None would raise TypeError at the first iteration.
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        markov_stationary("odd", k_max=64, tol=tol, max_iter=None)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        classrank_stationary(k_max=64, tol=tol, max_iter=None)
+
+
+def test_markov_rejects_a_chain_over_the_budget():
+    # k_max = 1e6 would ask for a dense matrix of 2 TB (odd) or 8 TB.
+    with pytest.raises(ResourceLimitError, match="states needs"):
+        markov_stationary("odd", k_max=10**6)
+    with pytest.raises(ResourceLimitError, match="states needs"):
+        classrank_stationary(k_max=10**6)
 
 
 def test_classrank_chain():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -286,3 +287,76 @@ def test_workers_only_where_read(capsys):
     assert main(["scan", "--residue", "5", "--max-n", "100", "--workers", "2"]) == 0
     args = ["simulate", "--row", "5a", "--r", "4", "--samples", "50", "--workers", "2"]
     assert main(args) == 0
+
+
+
+def test_workers_below_one_rejected(capsys, monkeypatch):
+    for workers in ("0", "-2"):
+        for args in (
+            ["scan", "--residue", "5", "--max-n", "100"],
+            ["simulate", "--row", "5a", "--r", "4", "--samples", "50"],
+        ):
+            assert main(args + ["--workers", workers]) == 3, (args, workers)
+            assert "--workers: must be at least 1" in capsys.readouterr().err
+    # One block of work starts no pool, however many workers are asked for.
+    import cnkit.numtheory as numtheory
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(numtheory, "ProcessPoolExecutor", no_pool)
+    assert main(["scan", "--residue", "5", "--max-n", "100", "--workers", "64"]) == 0
+
+
+def test_alpha_and_markov_past_the_float_range(capsys):
+    code, out = run(["alpha", "--k-max", "1100"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "1100,0.0"
+    code, out = run(["markov", "--chain", "odd", "--k-max", "1100"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "1099,0.0,0.0"
+
+
+def test_markov_fails_fast(capsys):
+    for tol in ("0", "-1e-9", "nan"):
+        assert main(["markov", "--chain", "odd", f"--tol={tol}"]) == 3, tol
+        assert "tol must be positive and finite" in capsys.readouterr().err
+    assert main(["markov", "--chain", "classrank", "--k-max", "1000000"]) == 2
+    assert "states needs" in capsys.readouterr().err
+
+
+# SHA-256 of each command's output file, recorded before the bulk forms
+# were rebuilt from one border table: the CSV and JSON output must stay
+# byte-identical across refactors.
+_PINNED_OUTPUTS = {
+    "scan --residue 1 --max-n 20000 --format csv": "b32f57df927ed19de45ccd27ab5181ac1c0e4b4b01a977c88f1a1eddadf44bc7",
+    "scan --residue 1 --max-n 20000 --format json": "7bdb606d7c924a0baa9b9b47dc734b64d95ef2c0931abafa62af67fb4279bae4",
+    "scan --residue 2 --max-n 20000 --format csv": "5b9d97517a6bc5ebf106b8fe85fb32685176ea0bdf3d7ea5b98dbcc6d859c195",
+    "scan --residue 2 --max-n 20000 --format json": "8ffdf94d7a761d170553d8c74f9587563327bf8fb6aaab1130e32ff5864f171c",
+    "scan --residue 3 --max-n 20000 --format csv": "af794b4e69b5142d7adec80a68afc6c521b7a86246c964dbda6ad9de95a17d96",
+    "scan --residue 3 --max-n 20000 --format json": "54e29c579ce3e4d2bec156b6eda7226aebaa2f7fe442ec005e1b5b09f4e1fd05",
+    "scan --residue 5 --max-n 20000 --format csv": "32ec239061f59154f4f2aeb981a7592bcb0d2c26e63371ca4ce9313e7b76f021",
+    "scan --residue 5 --max-n 20000 --format json": "f773679385036fc92ad01b384e9ea46e8253c4f1bdcf0fc66cb134de12697fa2",
+    "scan --residue 6 --max-n 20000 --format csv": "79eabd84ebcdeece410a4bffb7978fbcf859d73d25ae8e2153f721c07b3fa755",
+    "scan --residue 6 --max-n 20000 --format json": "0433742a7e058a858baa3ae286faa02f320e5816634ff456f9de3227130a0fbe",
+    "scan --residue 7 --max-n 20000 --format csv": "5448b83e5f03911debeece0250edd9ce86d66d7e37ac46e3f790a2d95c708b27",
+    "scan --residue 7 --max-n 20000 --format json": "deb2c5bb51a8d0f9103ab804e63d12494de9463dce7ce44f9c5258cd0085bd58",
+    "certify --residue 5 --max-n 20000": "197b904c1b717528f74b3303e36a7a2b109db9d73cb46630aa35e0bfea0cb345",
+    "certify --residue 6 --max-n 20000": "e75a43b09ceff47684ce9b870b49a78a81b7a4d25411bf531f06ad76181e1b14",
+    "certify --residue 7 --max-n 20000": "41db132e1b1be28d74547eec6261ef740d20dd74d3ae075e4471d1e6fa5b97fc",
+    "verify --max-n 20000": "c68c98cf31932a600d2a470068cfb456f7f35aa21ad77c047438d88d100d5448",
+    "verify --max-n 20000 --format json": "0c42dab6188844f4416a0854727ff5aeae702995505c928c494222b043b9b0c7",
+    "simulate --row 7a --r 12 --samples 3000 --seed 11": "276fa1c90394568680334651e7480056f3e0048bb06548ec298a53ac4fbf85ce",
+    "alpha --k-max 1022": "3efcfeb2b0e9169128f8f2900e534f6fe5c660f967258204994230faf4632505",
+    "markov --chain odd --k-max 64": "7e1422c5086afdacd5d4e8dfed3235d64ce67e119b199bfd0d5777700d3ac467",
+    "markov --chain classrank --k-max 32": "81bba87a251ef182a5fa30f7fa13232c822d6b5112805323a24d88e29bbac421",
+}
+
+
+def test_cli_outputs_pinned(tmp_path):
+    out = str(tmp_path / "out")
+    changed = []
+    for command, digest in _PINNED_OUTPUTS.items():
+        assert main(command.split() + ["--out", out]) == 0, command
+        with open(out, "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != digest:
+                changed.append(command)
+    assert changed == []

@@ -218,7 +218,7 @@ def _batch_and_scalar(residue, limit, sieve, gtable):
 @pytest.mark.parametrize("residue", [1, 2, 3, 5, 6, 7])
 def test_divisor_sums_batch_matches_scalar(sieve, residue):
     limit = 10 ** 5
-    gtable = redei_g_table(limit, sieve, odd_only=residue % 2 == 1)
+    gtable = redei_g_table(limit, sieve)
     seen = set()
     for rv, got, want in _batch_and_scalar(residue, limit, sieve, gtable):
         seen.add(rv)
@@ -240,7 +240,7 @@ def test_flipped_g_entry_shows(sieve, monkeypatch, residue):
     import cnkit.density as density
 
     limit = 20_000
-    clean = redei_g_table(limit, sieve, odd_only=True)
+    clean = redei_g_table(limit, sieve)
     flipped = bytearray(clean)
     flipped[13] ^= 1
     flipped = bytes(flipped)

@@ -370,14 +370,28 @@ def test_twist_batch_matches_build_twist_to_1e5(sieve):
 def test_redei_g_table_matches_redei_g_to_1e5(sieve):
     limit = 10 ** 5
     table = redei_g_table(limit, sieve)
-    odd = redei_g_table(limit, sieve, odd_only=True)
-    assert len(table) == len(odd) == limit + 1
+    assert len(table) == limit + 1
     for d in range(1, limit + 1):
         f = try_factor_squarefree(d, sieve)
         want = redei_g(f) if f is not None else 0
         assert table[d] == want, d
-        assert odd[d] == (want if d % 2 else 0), d
-    assert table[0] == odd[0] == 0
+    assert table[0] == 0
     assert redei_g_table(0, sieve) == b"\x00"
     assert redei_g_table(2, sieve) == b"\x00\x01\x01"
-    assert redei_g_table(2, sieve, odd_only=True) == b"\x00\x01\x00"
+
+
+def test_redei_g_table_every_small_limit(sieve):
+    """Each limit up to 64 cuts the doubled d at another place, odd and
+    even limits alike."""
+    want = [0] + [
+        redei_g(f) if (f := try_factor_squarefree(d, sieve)) is not None else 0
+        for d in range(1, 65)
+    ]
+    for limit in range(65):
+        assert list(redei_g_table(limit, sieve)) == want[: limit + 1], limit
+
+
+def test_form_coranks_unknown_label_names_it():
+    a, y, z = twist_batch(np.array([[3, 5]]))
+    with pytest.raises(ValueError, match="'4a'"):
+        form_coranks(("1", "4a"), a, y, z)

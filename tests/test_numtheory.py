@@ -311,3 +311,28 @@ def test_map_blocks_order_and_initializer():
     assert list(map_blocks(sum, blocks, 1, seen.append, ("init",))) == [3, 9, 15, 19]
     assert seen == ["init"] * 4
     assert list(map_blocks(sum, blocks, workers=2)) == [3, 9, 15, 19]
+
+
+def test_map_blocks_pool_no_wider_than_the_work(monkeypatch):
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, **kwargs):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return map(fn, blocks)
+
+    monkeypatch.setattr(numtheory, "ProcessPoolExecutor", RecordingPool)
+    blocks = spans(0, 10, 3)
+    assert list(map_blocks(sum, blocks, workers=64)) == [3, 9, 15, 19]
+    assert list(map_blocks(sum, blocks, workers=3)) == [3, 9, 15, 19]
+    assert list(map_blocks(sum, blocks[:1], workers=64)) == [3]  # serial, no pool
+    assert list(map_blocks(sum, [], workers=64)) == []
+    assert widths == [4, 3]
