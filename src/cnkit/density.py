@@ -7,10 +7,11 @@ reports.  Every scanned n is also pushed through the row identities as a
 standing cross-check.
 
 `scan`, `certified_table` and `identity_check` share one numpy engine.
-A call tabulates g(d) for every squarefree d up to its limit
-(`monsky.redei_g_table`) once and hands the table to every block.  A
-block yields its n as same-r stacks (`numtheory.same_r_stacks`), and a
-stack gets its divisor sums from one `lfun.divisor_sums_batch` call and
+g(d) for every squarefree d up to their limit is tabulated once per
+process (`monsky.redei_g_table`, which holds only the largest table
+built, limit + 1 bytes, until exit) and handed to every block.  A block
+yields its n as same-r stacks (`numtheory.same_r_stacks`), and a stack
+gets its divisor sums from one `lfun.divisor_sums_batch` call and
 its determinant forms from one `monsky.twist_batch` and one
 `monsky.form_coranks` call: every row form and the Selmer form for a
 scan, the Selmer form of the certified n for `certified_table` (the row
@@ -180,13 +181,12 @@ def _check_limit(limit: int, sieve: PrimeSieve) -> None:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
 
 
-def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, gtable=None, workers=1):
+def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, workers=1):
     """block over the BLOCK-long pieces of [1, limit] for n = residue
     (mod 8), results in block order; every worker holds the sieve and
-    gtable, by default the g table of the range."""
+    the g table of the range."""
     _check_limit(limit, sieve)
-    if gtable is None:
-        gtable = redei_g_table(limit, sieve)
+    gtable = redei_g_table(limit, sieve)
     blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
     return map_blocks(block, blocks, workers, _init_worker, (sieve, gtable))
 
@@ -288,17 +288,16 @@ def identity_check(
     limit: int, sieve: PrimeSieve
 ) -> tuple[int, int, list[tuple[int, str, int, int]]]:
     """Divisor sum against determinant for every row at every squarefree
-    n <= limit, over one g table.
+    n <= limit.
 
     Returns the number of rows and of n checked, and the mismatches as
     (n, row, divisor sum, determinant), sorted by n and then by row.
     """
     _check_limit(limit, sieve)
-    gtable = redei_g_table(limit, sieve)
     rows_checked = n_checked = 0
     bad = []
     for residue in (1, 2, 3, 5, 6, 7):
-        for count, part in _map_range(_verify_block, residue, limit, sieve, gtable):
+        for count, part in _map_range(_verify_block, residue, limit, sieve):
             n_checked += count
             rows_checked += count * len(rows_for_residue(residue))
             bad += part

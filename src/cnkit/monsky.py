@@ -11,8 +11,9 @@ The scalar code (`build_twist`, `redei_g_parts`, `row_matrix_parts`,
 Scans use its batched mirror: `twist_batch` builds (A, y, z) for a stack
 of same-r n as uint8 arrays, the symbols of A looked up in the
 quadratic-residue table of `numtheory.legendre_plus_bulk`;
-`redei_g_table` tabulates g(d) for every squarefree d up to a limit,
-factoring only odd d and ranking the forms of d and 2d together; and
+`redei_g_table` tabulates g(d) for every squarefree d up to a limit once
+per process, factoring only odd d and ranking the forms of d and 2d
+together, and holds the largest table (limit + 1 bytes) until exit; and
 the eight row forms are data, one entry each of the `_ROW_FORMS` border
 table, from which `row_matrix_batch` assembles a form for a stack of
 same-r twists as a (count, m, m) bit array and `form_coranks` ranks
@@ -179,12 +180,28 @@ def redei_g(f: FactoredInteger) -> int:
     return redei_g_parts(t.a, t.z, mod4)
 
 
-# Integers per slice of `redei_g_table`: larger slices pay off little and
-# raise the peak memory of a scan.
+# Integers per slice of `_build_g_table`: larger slices pay off little
+# and raise the peak memory of a scan.
 _G_SLICE = 1 << 13
+# The largest g table built in this process, b"" before the first.
+_G_TABLE = b""
 
 
 def redei_g_table(limit: int, sieve: PrimeSieve) -> bytes:
+    """g(d) for every squarefree d <= limit (`_build_g_table`), from the
+    largest table built in this process: the same object for the same
+    limit, a prefix for a smaller one, a rebuild for a larger one."""
+    global _G_TABLE
+    if limit > sieve.limit:
+        raise ValueError(f"range end {limit} exceeds sieve limit {sieve.limit}")
+    size = max(limit, 0) + 1
+    if len(_G_TABLE) < size:
+        _G_TABLE = b""  # dropped before the larger table is built
+        _G_TABLE = _build_g_table(limit, sieve)
+    return _G_TABLE if len(_G_TABLE) == size else _G_TABLE[:size]
+
+
+def _build_g_table(limit: int, sieve: PrimeSieve) -> bytes:
     """g(d) for every squarefree d <= limit, as one byte per d (0 for the
     other d).
 

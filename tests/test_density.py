@@ -3,6 +3,7 @@ import pytest
 from cnkit.density import (
     certified_table,
     fourrank_census,
+    identity_check,
     scan,
     wilson_ci,
 )
@@ -269,3 +270,16 @@ def test_scan_workers_across_blocks():
     limit = 140_000  # three blocks
     sieve = sieve_init(limit)
     assert scan(6, limit, sieve, workers=2) == scan(6, limit, sieve, workers=1)
+
+
+def test_scan_round_builds_one_g_table(sieve, cold_g_table):
+    # Every call at one limit reads the table of the first, also across
+    # residues, certification and the identity check.
+    limit = 70_000  # two blocks, so that two workers start a pool
+    reports = [scan(residue, limit, sieve) for residue in (5, 6, 7)]
+    assert list(certified_table(5, limit, sieve))
+    assert identity_check(limit, sieve)[2] == []
+    assert cold_g_table == [limit]
+    assert all(rep.identity_mismatches == 0 for rep in reports)
+    assert scan(5, limit, sieve, workers=2) == reports[0]
+    assert cold_g_table == [limit]

@@ -254,3 +254,19 @@ def test_flipped_g_entry_shows(sieve, monkeypatch, residue):
         assert (got == want).all()
         changed += int((got != ref).sum())
     assert changed > 0  # the sums read the flipped entry
+
+
+def test_flipped_table_never_enters_the_cache(sieve, monkeypatch):
+    # A clean scan after a flipped one reads the built table again.
+    import cnkit.density as density
+    from cnkit import monsky
+
+    limit = 20_000
+    clean = redei_g_table(limit, sieve)
+    flipped = bytearray(clean)
+    flipped[13] ^= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(density, "redei_g_table", lambda *args, **kwargs: bytes(flipped))
+        assert density.scan(5, limit, sieve).identity_mismatches > 0
+    assert density.scan(5, limit, sieve).identity_mismatches == 0
+    assert redei_g_table(limit, sieve) == monsky._build_g_table(limit, sieve)

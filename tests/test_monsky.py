@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cnkit import gf2
+from cnkit import gf2, monsky
 from cnkit.gf2 import F2Matrix, F2Vector
 from cnkit.monsky import (
     ROW_LABELS,
@@ -367,17 +367,21 @@ def test_twist_batch_matches_build_twist_to_1e5(sieve):
             assert z[k].tolist() == tw.z.tolist(), tw.f.n
 
 
+# The builder itself, out of reach of the `cold_g_table` counting patch.
+_fresh_g_table = monsky._build_g_table
+
+
 def test_redei_g_table_matches_redei_g_to_1e5(sieve):
     limit = 10 ** 5
-    table = redei_g_table(limit, sieve)
+    table = _fresh_g_table(limit, sieve)
     assert len(table) == limit + 1
     for d in range(1, limit + 1):
         f = try_factor_squarefree(d, sieve)
         want = redei_g(f) if f is not None else 0
         assert table[d] == want, d
     assert table[0] == 0
-    assert redei_g_table(0, sieve) == b"\x00"
-    assert redei_g_table(2, sieve) == b"\x00\x01\x01"
+    assert _fresh_g_table(0, sieve) == b"\x00"
+    assert _fresh_g_table(2, sieve) == b"\x00\x01\x01"
 
 
 def test_redei_g_table_every_small_limit(sieve):
@@ -388,7 +392,35 @@ def test_redei_g_table_every_small_limit(sieve):
         for d in range(1, 65)
     ]
     for limit in range(65):
-        assert list(redei_g_table(limit, sieve)) == want[: limit + 1], limit
+        assert list(_fresh_g_table(limit, sieve)) == want[: limit + 1], limit
+
+
+def test_redei_g_table_serves_prefixes_of_one_build(sieve, cold_g_table):
+    whole = redei_g_table(10 ** 5, sieve)
+    assert whole == _fresh_g_table(10 ** 5, sieve)
+    for limit in (-1, 0, 1, 2, 13, 10 ** 4):
+        assert redei_g_table(limit, sieve) == _fresh_g_table(limit, sieve), limit
+    assert redei_g_table(10 ** 5, sieve) is whole
+    assert redei_g_table(10 ** 5 - 1, sieve) == whole[:-1]
+    assert cold_g_table == [10 ** 5]
+
+
+def test_redei_g_table_rebuilds_for_a_larger_limit(sieve, cold_g_table):
+    small = redei_g_table(100, sieve)
+    large = redei_g_table(1000, sieve)
+    assert cold_g_table == [100, 1000]
+    assert large[:101] == small and large == _fresh_g_table(1000, sieve)
+    assert redei_g_table(100, sieve) == small
+    assert cold_g_table == [100, 1000]
+
+
+def test_redei_g_table_beyond_the_sieve_raises_with_a_warm_cache(sieve, cold_g_table):
+    redei_g_table(1000, sieve)
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        redei_g_table(500, sieve_init(400))
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        redei_g_table(10 ** 5 + 1, sieve)
+    assert cold_g_table == [1000]
 
 
 def test_form_coranks_unknown_label_names_it():
