@@ -691,8 +691,11 @@ def corank_distribution_mc(
     w, wr = (m + 63) // 64, (r + 63) // 64
     # per sample: the r x r draw and its byte-aligned copy for packing,
     # about eight r-bit row fields of the assembly, and the word matrix
-    # with the kernel's copy and its two temporaries (tracemalloc peaks
-    # 3.8 kB at r = 30 and 17.5 kB at r = 70; this gives 6.2 and 33.5 kB)
+    # with room for three more copies, although the kernel's tile copy
+    # and scratch array take at most 2 * 8 * `_batchrank.TILE_WORDS`
+    # bytes (1 MiB) whatever the batch (tracemalloc peaks of a 4096
+    # block: 3.7 kB at r = 30 and 17.5 kB at r = 70, set by the assembly,
+    # the kernel 0.3 kB of them; this gives 6.2 and 33.5 kB)
     _check_block(
         r, min(MC_BLOCK, samples), 2 * r * (r + 8) + 64 * r * wr + 32 * m * w
     )

@@ -184,11 +184,14 @@ def _check_limit(limit: int, sieve: PrimeSieve) -> None:
 def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, workers=1):
     """block over the BLOCK-long pieces of [1, limit] for n = residue
     (mod 8), results in block order; every worker holds the sieve and
-    the g table of the range."""
+    the g table of the range, and a serial run drops its table at the end."""
     _check_limit(limit, sieve)
     gtable = redei_g_table(limit, sieve)
     blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
-    return map_blocks(block, blocks, workers, _init_worker, (sieve, gtable))
+    try:
+        yield from map_blocks(block, blocks, workers, _init_worker, (sieve, gtable))
+    finally:
+        _init_worker(sieve)
 
 
 def _block_stacks(args) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -14,7 +14,6 @@ Range work is cut one way: `spans` into blocks or slices,
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -186,13 +185,21 @@ def same_r_stacks(
             yield ns[pick], primes[pick, :rv]
 
 
+# Imported by the first pool run of `map_blocks`, so that importing cnkit
+# for a serial run loads no process machinery.
+ProcessPoolExecutor = None
+
+
 def map_blocks(fn, blocks, workers: int = 1, initializer=None, initargs=()) -> Iterator:
     """fn over the sequence blocks, results in block order: in a pool of
     min(workers, len(blocks)) processes, each set up once by
     initializer(*initargs), or else in this process, with it run before
     each block, so that runs consumed in turn do not see each other's state."""
+    global ProcessPoolExecutor
     workers = min(workers, len(blocks))
     if workers > 1:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
             yield from pool.map(fn, blocks)
         return

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cnkit import gf2
+from cnkit import _batchrank, gf2
 from cnkit._batchrank import pack_rows, rank_batch
 from cnkit.gf2 import F2Matrix
 
@@ -90,3 +90,18 @@ def test_rank_batch_pivot_edge_cases():
         got = checked_ranks(bits)
         assert list(got) == reference_ranks(bits)
         assert max(got) <= n - 3
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3])
+@pytest.mark.parametrize("n, m", [(9, 40), (7, 150)])  # w = 1 and w = 3
+def test_rank_batch_tile_boundaries(monkeypatch, tile, n, m):
+    w = (m + 63) // 64
+    # a few words over tile matrices still make tiles of tile matrices
+    monkeypatch.setattr(_batchrank, "TILE_WORDS", tile * n * w + n * w - 1)
+    rng = np.random.default_rng(100 * tile + n)
+    for batch in (tile - 1, tile, tile + 1, 2 * tile + 3):
+        bits = rng.integers(0, 2, size=(batch, n, m), dtype=np.uint8)
+        bits[::2, n // 2] = 0  # a zero row
+        bits[1::3, :, :64] = 0  # no bit in the first word
+        bits[2::4, 1:] = bits[2::4, :1]  # rank at most 1
+        assert list(checked_ranks(bits)) == reference_ranks(bits)

@@ -1,5 +1,6 @@
 import pytest
 
+from cnkit import density, monsky
 from cnkit.density import (
     certified_table,
     fourrank_census,
@@ -283,3 +284,14 @@ def test_scan_round_builds_one_g_table(sieve, cold_g_table):
     assert all(rep.identity_mismatches == 0 for rep in reports)
     assert scan(5, limit, sieve, workers=2) == reports[0]
     assert cold_g_table == [limit]
+
+
+def test_serial_run_keeps_no_g_table(sieve, cold_g_table):
+    # After a serial run the only holder of its table is the cache, so a
+    # larger build does not keep the old table alive next to the new one.
+    scan(5, 1000, sieve)
+    old = monsky._G_TABLE
+    assert len(old) == 1001
+    assert monsky.redei_g_table(4000, sieve) is monsky._G_TABLE
+    assert cold_g_table == [1000, 4000]
+    assert not any(value is old for value in vars(density).values())

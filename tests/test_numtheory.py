@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -336,3 +340,14 @@ def test_map_blocks_pool_no_wider_than_the_work(monkeypatch):
     assert list(map_blocks(sum, blocks[:1], workers=64)) == [3]  # serial, no pool
     assert list(map_blocks(sum, [], workers=64)) == []
     assert widths == [4, 3]
+
+
+def test_import_loads_no_process_pool():
+    src = Path(numtheory.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import cnkit, cnkit.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
