@@ -385,48 +385,41 @@ def markov_step(k: int) -> tuple[float, float, float]:
     return up, stay, down
 
 
-def _stationary(states: list[int], step, tol: float, max_iter: int) -> dict[int, float]:
-    """Power iteration on the dense transition matrix over states."""
-    if not 0 < tol < inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    n = len(states)
-    if 8 * n * n > MC_BUDGET:  # checked before the float64 matrix is allocated
-        raise ResourceLimitError(f"a chain on {n} states needs {8 * n * n} bytes, over {MC_BUDGET}")
-    idx = {k: i for i, k in enumerate(states)}
-    p = np.zeros((n, n))
-    for k in states:
-        i = idx[k]
-        up, stay, down = step(k)
-        j_up = idx.get(k + (states[1] - states[0]))
-        if j_up is None:
-            stay += up  # reflect the (astronomically small) top overflow
-        else:
-            p[i, j_up] = up
-        p[i, i] += stay
-        if down:
-            p[i, idx[k - (states[1] - states[0])]] = down
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ p
-        if np.abs(nxt - pi).sum() < tol:
-            return {k: float(nxt[idx[k]]) for k in states}
-        pi = nxt
-    raise RuntimeError(f"stationary distribution did not converge to {tol}")
+CHAIN_K_MAX = 1 << 16  # every state past k = 50 or so is 0.0 in float64 anyway
 
 
-def markov_stationary(
-    parity: str, k_max: int = 64, tol: float = 1e-12, max_iter: int = 200_000
-) -> dict[int, float]:
-    """Fixed point of the corank chain on one parity class, by power iteration."""
+def _stationary(step, k_min: int, k_max: int, stride: int, tol: float) -> dict[int, float]:
+    """Stationary law of the birth-death chain on range(k_min, k_max + 1, stride),
+    the top state's up folded into its stay, by detailed balance:
+    pi(k + stride) / pi(k) = up(k) / down(k + stride).  The law is accepted
+    only if its residual |pi P - pi|_1 is below tol."""
     if k_max < 8:
         raise ValueError("k_max must be at least 8")
-    if parity == "even":
-        states = list(range(0, k_max + 1, 2))
-    elif parity == "odd":
-        states = list(range(1, k_max + 1, 2))
-    else:
+    if k_max > CHAIN_K_MAX:
+        raise ResourceLimitError(f"k_max={k_max} is over the chain bound of {CHAIN_K_MAX}")
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    states = range(k_min, k_max + 1, stride)
+    up, stay, down = np.array([step(k) for k in states]).T
+    stay[-1] += up[-1]  # reflect the (astronomically small) top overflow
+    up[-1] = 0.0
+    pi = np.cumprod(np.concatenate(([1.0], up[:-1] / down[1:])))
+    pi /= pi.sum()
+    flow = pi * stay
+    flow[1:] += pi[:-1] * up[:-1]
+    flow[:-1] += pi[1:] * down[1:]
+    residual = float(np.abs(flow - pi).sum())
+    if not residual < tol:
+        raise ValueError(f"the stationary law has residual {residual:.3g}, not below tol={tol}")
+    return {k: float(p) for k, p in zip(states, pi)}
+
+
+def markov_stationary(parity: str, k_max: int = 64, tol: float = 1e-12) -> dict[int, float]:
+    """Fixed point of the corank chain on one parity class, by detailed balance."""
+    k_min = {"even": 0, "odd": 1}.get(parity)
+    if k_min is None:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return _stationary(states, markov_step, tol, max_iter)
+    return _stationary(markov_step, k_min, k_max, 2, tol)
 
 
 def classrank_markov_step(k: int) -> tuple[float, float, float]:
@@ -437,10 +430,9 @@ def classrank_markov_step(k: int) -> tuple[float, float, float]:
     return up, stay, down
 
 
-def classrank_stationary(
-    k_max: int = 64, tol: float = 1e-12, max_iter: int = 200_000
-) -> dict[int, float]:
-    return _stationary(list(range(k_max + 1)), classrank_markov_step, tol, max_iter)
+def classrank_stationary(k_max: int = 64, tol: float = 1e-12) -> dict[int, float]:
+    """Fixed point of the 4-rank chain, by detailed balance."""
+    return _stationary(classrank_markov_step, 0, k_max, 1, tol)
 
 
 def gerth_pmf(k: int) -> float:
@@ -448,6 +440,8 @@ def gerth_pmf(k: int) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     out = 2.0 ** (-k * k)
+    if out == 0.0:  # k >= 33: the factors below would keep it 0.0 in O(k) steps
+        return 0.0
     for i in range(1, k + 1):
         out /= (1.0 - 2.0 ** (-i)) ** 2
     for i in range(1, 65):
@@ -513,7 +507,7 @@ def equivalence_check(
 # --- Monte Carlo over bit assignments --------------------------------------------
 
 MC_BLOCK = 4096
-MC_BUDGET = 2 ** 30  # bytes that one Monte Carlo block or one chain matrix may take
+MC_BUDGET = 2 ** 30  # bytes that one Monte Carlo block may take
 
 
 def _check_block(r: int, count: int, per_sample: int) -> None:

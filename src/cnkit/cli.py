@@ -244,6 +244,8 @@ def cmd_markov(args) -> int:
 
 
 def cmd_alpha(args) -> int:
+    if args.k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {args.k_max}")
     rows = [[k, alpha(k)] for k in range(args.k_max + 1)]
     _emit(["k", "alpha"], rows, _meta(args, k_max=args.k_max), args)
     return EXIT_OK

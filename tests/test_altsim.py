@@ -214,19 +214,50 @@ def test_markov_stationary_matches_alpha():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
 def test_markov_rejects_tol_before_iterating(tol):
-    # max_iter=None would raise TypeError at the first iteration.
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        markov_stationary("odd", k_max=64, tol=tol, max_iter=None)
+        markov_stationary("odd", k_max=64, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        classrank_stationary(k_max=64, tol=tol, max_iter=None)
+        classrank_stationary(k_max=64, tol=tol)
 
 
 def test_markov_rejects_a_chain_over_the_budget():
-    # k_max = 1e6 would ask for a dense matrix of 2 TB (odd) or 8 TB.
-    with pytest.raises(ResourceLimitError, match="states needs"):
+    with pytest.raises(ResourceLimitError, match="over the chain bound"):
         markov_stationary("odd", k_max=10**6)
-    with pytest.raises(ResourceLimitError, match="states needs"):
+    with pytest.raises(ResourceLimitError, match="over the chain bound"):
         classrank_stationary(k_max=10**6)
+
+
+_CHAINS = {
+    "even": lambda **kw: markov_stationary("even", **kw),
+    "odd": lambda **kw: markov_stationary("odd", **kw),
+    "classrank": classrank_stationary,
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+def test_markov_k_max_bounds(chain):
+    for k_max in (0, -1, 7):
+        with pytest.raises(ValueError, match="k_max must be at least 8"):
+            _CHAINS[chain](k_max=k_max)
+    with pytest.raises(ResourceLimitError, match="over the chain bound"):
+        _CHAINS[chain](k_max=altsim.CHAIN_K_MAX + 1)
+    assert len(_CHAINS[chain](k_max=8)) == {"even": 5, "odd": 4, "classrank": 9}[chain]
+    assert _CHAINS[chain](k_max=altsim.CHAIN_K_MAX)
+
+
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+def test_markov_reports_a_residual_over_tol(chain):
+    with pytest.raises(ValueError, match=r"residual .* not below tol=1e-30"):
+        _CHAINS[chain](k_max=64, tol=1e-30)
+
+
+@pytest.mark.parametrize(
+    "chain,k_max", [("even", 64), ("odd", 64), ("classrank", 64), ("classrank", 3000)]
+)
+def test_markov_stationary_equals_the_closed_form(chain, k_max):
+    law = gerth_pmf if chain == "classrank" else alpha
+    st = _CHAINS[chain](k_max=k_max, tol=1e-13)
+    assert max(abs(p - law(k)) for k, p in st.items()) <= 1e-15
 
 
 def test_classrank_chain():
