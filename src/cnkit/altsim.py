@@ -13,9 +13,11 @@ over bit assignments, and the 4-rank map for n = 3 (mod 4), one n at a
 time or batched over a stack of same-r n.
 
 The Monte Carlo path works on blocks of MC_BLOCK assignments: one draw
-of class indices and upper bits per block, matrices assembled straight
-into the uint64 words of `rank_batch` (no 0/1 matrix is built), and one
-`rank_batch` call.  `build_alt` is the scalar reference for each matrix.
+of class indices and of the strict upper triangle U as uint64 row words
+per block, U^T by a word-level bit transpose, matrices assembled
+straight into the words of `rank_batch` (no 0/1 matrix is built), and
+one `rank_batch` call.  `build_alt` is the scalar reference for each
+matrix.
 """
 
 from __future__ import annotations
@@ -529,9 +531,26 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
+@cache
+def _row_masks(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row words (r, wr) of the bits above the diagonal, below it and on
+    it: row i holds the bits j > i, j < i and j = i.  The result is
+    shared, so the arrays are read-only."""
+    ones = np.ones((r, r), dtype=np.uint8)
+    masks = (
+        pack_rows(np.triu(ones, 1)),
+        pack_rows(np.tril(ones, -1)),
+        pack_rows(np.eye(r, dtype=np.uint8)),
+    )
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _draw_block(cfg: AltConfig, r: int, rng: np.random.Generator, count: int):
-    """Raw per-sample draws: class indices (count, r) and upper-bit
-    tables (count, r, r), in a fixed call order for reproducibility."""
+    """Raw per-sample draws, in a fixed call order for reproducibility:
+    class indices (count, r), and U, the strict upper triangle of A, as
+    row words (count, r, wr) with row i holding random bits j > i only."""
     reps, index, inverse = _unit_class_reps(cfg.d)
     mod = 8 * cfg.d
     cls = np.empty((count, r), dtype=np.int64)
@@ -540,7 +559,9 @@ def _draw_block(cfg: AltConfig, r: int, rng: np.random.Generator, count: int):
         targets = np.array(cfg.n0)[rng.integers(0, len(cfg.n0), size=count)]
     else:
         targets = np.full(count, cfg.n0[0])
-    upper = rng.integers(0, 2, size=(count, r, r), dtype=np.uint8)
+    wr = (r + 63) // 64
+    upper = rng.integers(0, 2 ** 64 - 1, size=(count, r, wr), dtype=np.uint64, endpoint=True)
+    upper &= _row_masks(r)[0]
     reps_arr = np.array(reps, dtype=np.int64)
     prod = np.ones(count, dtype=np.int64)
     for j in range(r - 1):
@@ -549,20 +570,14 @@ def _draw_block(cfg: AltConfig, r: int, rng: np.random.Generator, count: int):
     return cls, upper
 
 
-def _materialize(cfg: AltConfig, cls_row: np.ndarray, upper_tab: np.ndarray):
+def _materialize(cfg: AltConfig, cls_row: np.ndarray, upper_words: np.ndarray):
     reps = _unit_class_reps(cfg.d)[0]
-    r = len(cls_row)
-    upper_rows = []
-    for i in range(r):
-        row = 0
-        for j in range(i + 1, r):
-            row |= int(upper_tab[i, j]) << j
-        upper_rows.append(row)
+    rows = upper_words.astype("<u8", copy=False)  # word q holds bits 64q..64q+63
     return BitAssignment(
         d=cfg.d,
-        r=r,
+        r=len(cls_row),
         classes=tuple(reps[i] for i in cls_row),
-        upper=tuple(upper_rows),
+        upper=tuple(int.from_bytes(row.tobytes(), "little") for row in rows),
     )
 
 
@@ -577,7 +592,11 @@ def draw_assignments(
     cfg: AltConfig, r: int, rng: np.random.Generator, count: int
 ) -> list[BitAssignment]:
     """A block of assignments drawn exactly as the Monte Carlo path draws them."""
-    _check_block(r, count, r * (r + 16))
+    # per sample: the class indices and U's words (8 r + 8 r wr bytes),
+    # then the assignment: r row ints of up to 28 + 9 wr bytes and two
+    # tuples of r pointers (tracemalloc peaks of 4096 samples: 2.0 kB at
+    # r = 30 and 5.4 kB at r = 70; this gives 2.6 and 7.8 kB)
+    _check_block(r, count, r * (64 + 24 * ((r + 63) // 64)))
     cls, upper = _draw_block(cfg, r, rng, count)
     return [_materialize(cfg, cls[i], upper[i]) for i in range(count)]
 
@@ -592,13 +611,59 @@ def _or_at(rows: np.ndarray, field: np.ndarray, off: int) -> None:
             rows[..., q + 1] |= field[..., f] >> np.uint64(64 - s)
 
 
+# The masked swap stages of a 64 x 64 bit transpose, widest first: stage
+# s swaps the bits j + s of row k with the bits j of row k + s, for every
+# j and k with bit s clear (the bits j that the mask keeps).
+_SWAP_STAGES = tuple(
+    (np.uint64(s), np.uint64(mask))
+    for s, mask in (
+        (32, 0x00000000FFFFFFFF),
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
+
+
+def _transpose_words(words: np.ndarray) -> np.ndarray:
+    """The transposes of a stack of r x r bit matrices in row words
+    (count, r, wr), in the same layout.
+
+    The rows are padded to b, a power of two (64 once r > 64), and cut
+    into b x b blocks held as a (row block, row, word, sample) array, the
+    samples innermost.  The log2(b) masked swap stages transpose every
+    block in place, and block (p, q) of the result is block (q, p)."""
+    count, r, wr = words.shape
+    b = 64 if wr > 1 else 1 << (r - 1).bit_length()
+    x = np.zeros((wr * b, wr, count), dtype=np.uint64)
+    x[:r] = words.transpose(1, 2, 0)
+    t = np.empty((wr * b // 2, wr, count), dtype=np.uint64)
+    for s, mask in _SWAP_STAGES:
+        if s >= b:
+            continue
+        pairs = x.reshape(wr, b // (2 * int(s)), 2, int(s), wr, count)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        t = t.reshape(lo.shape)
+        np.right_shift(lo, s, out=t)
+        t ^= hi
+        t &= mask
+        hi ^= t
+        t <<= s
+        lo ^= t
+    blocks = x.reshape(wr, b, wr, count).transpose(2, 1, 0, 3)
+    return blocks.reshape(wr * b, wr, count)[:r].transpose(2, 0, 1)
+
+
 def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The matrices of a block of assignments as (count, m, w) uint64
     words ready for rank_batch, the words `pack_rows(build_alt(...))`
     would give.
 
-    Every r x r block is built as r-bit row fields in words: U and U^T
-    from the drawn table packed along each axis, y.y^T and each B(q) as
+    upper is U in the row words of `_draw_block`, with no bit at or below
+    the diagonal.  Every r x r block is built as r-bit row fields in
+    words: S = U + U^T by `_transpose_words`, y.y^T and each B(q) as
     masks on the packed symbol bits, and the diagonal of A as the parity
     of its rows.  The fields are then ORed in at their column offsets.
     """
@@ -607,10 +672,7 @@ def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.nd
     count, r = cls.shape
     t = cfg.t
     m = 2 * r + t
-    ones = np.ones((r, r), dtype=np.uint8)
-    above = pack_rows(np.triu(ones, 1))  # (r, wr): row i holds the bits j > i
-    below = pack_rows(np.tril(ones, -1))
-    eye = pack_rows(np.eye(r, dtype=np.uint8))
+    above, below, eye = _row_masks(r)
 
     def sym(dd: int) -> np.ndarray:
         return tables[dd][cls]
@@ -627,7 +689,7 @@ def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.nd
         return out
 
     # A = S + (y.y^T below the diagonal), A^T = S + (y.y^T above it), S = U + U^T
-    s = (pack_rows(upper) & above) ^ (pack_rows(upper.transpose(0, 2, 1)) & below)
+    s = upper ^ _transpose_words(upper)
     y = sym(-1)
     yrow = pack_rows(y)[:, None, :]
     a = s ^ masked(y, yrow & below)
@@ -683,16 +745,15 @@ def corank_distribution_mc(
     validate_config(cfg)
     m = 2 * r + cfg.t
     w, wr = (m + 63) // 64, (r + 63) // 64
-    # per sample: the r x r draw and its byte-aligned copy for packing,
-    # about eight r-bit row fields of the assembly, and the word matrix
-    # with room for three more copies, although the kernel's tile copy
-    # and scratch array take at most 2 * 8 * `_batchrank.TILE_WORDS`
-    # bytes (1 MiB) whatever the batch (tracemalloc peaks of a 4096
-    # block: 3.7 kB at r = 30 and 17.5 kB at r = 70, set by the assembly,
-    # the kernel 0.3 kB of them; this gives 6.2 and 33.5 kB)
-    _check_block(
-        r, min(MC_BLOCK, samples), 2 * r * (r + 8) + 64 * r * wr + 32 * m * w
-    )
+    # per sample: the class indices and symbol bits (32 r bytes); U, the
+    # transpose's copies padded to at most 2r rows and S (about six r-row
+    # word arrays), and about eight r-bit row fields of the assembly (112
+    # r wr in all); the word matrix with room for three more copies,
+    # although the kernel's tile copy and scratch array take at most
+    # 2 * 8 * `_batchrank.TILE_WORDS` bytes (1 MiB) whatever the batch
+    # (tracemalloc peaks of a 4096 block: 3.0 kB at r = 30 and 13.7 kB
+    # at r = 70, set by the assembly; this gives 6.3 and 31.6 kB)
+    _check_block(r, min(MC_BLOCK, samples), 32 * r + 112 * r * wr + 32 * m * w)
     pieces = enumerate(spans(0, samples, MC_BLOCK))
     blocks = [(cfg, r, seed, b, hi - lo) for b, (lo, hi) in pieces]
     total = np.zeros(m + 1, dtype=np.int64)

@@ -12,6 +12,7 @@ from cnkit.altsim import (
     _assemble_block,
     _block_rng,
     _draw_block,
+    _transpose_words,
     alpha,
     build_alt,
     classgroup_oracle,
@@ -331,6 +332,44 @@ def test_assemble_block_words_match_build_alt(r):
         cls, upper = _draw_block(cfg, r, _block_rng(r, 3), 6)
         got = _assemble_block(cfg, cls, upper)
         assert got.dtype == np.uint64 and np.array_equal(got, want), (cfg.label, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 31, 32, 33, 63, 64, 65, 70, 130])
+def test_transpose_words_matches_numpy(r):
+    # one padded block up to r = 64, then 64 x 64 blocks swapped across words
+    bits = np.random.default_rng(r).integers(0, 2, size=(5, r, r), dtype=np.uint8)
+    words = pack_rows(bits)
+    got = _transpose_words(words)
+    assert got.dtype == np.uint64 and np.array_equal(got, pack_rows(bits.transpose(0, 2, 1)))
+    assert np.array_equal(_transpose_words(got), words)
+
+
+@pytest.mark.parametrize("r", [1, 2, 30, 64, 65, 130])
+def test_drawn_words_strictly_upper(r):
+    _, upper = _draw_block(ensemble_config("7a"), r, _block_rng(r, 0), 50)
+    assert upper.shape == (50, r, (r + 63) // 64)
+    bits = np.unpackbits(upper.view(np.uint8), axis=-1, bitorder="little")
+    assert not bits[:, :, r:].any()  # no bit at a column >= r
+    assert not (bits[:, :, :r] & np.tril(np.ones((r, r), dtype=np.uint8))).any()
+
+
+def test_drawn_upper_bits_uniform():
+    # each of the r(r-1)/2 free bits has mean 1/2, within 4.5 standard errors
+    r, count = 30, 4096
+    _, upper = _draw_block(ensemble_config("5a"), r, _block_rng(12, 0), count)
+    bits = np.unpackbits(upper.view(np.uint8), axis=-1, bitorder="little")[:, :, :r]
+    means = bits.mean(axis=0)[np.triu_indices(r, 1)]
+    assert means.size == 435
+    assert np.abs(means - 0.5).max() < 4.5 * 0.5 / math.sqrt(count)
+
+
+def test_mc_multiword_workers_agree():
+    # two blocks at r = 70 take the multiword transpose in each worker
+    cfg = ensemble_config("7b")
+    samples = altsim.MC_BLOCK + 100
+    h1 = corank_distribution_mc(cfg, r=70, samples=samples, seed=4)
+    h2 = corank_distribution_mc(cfg, r=70, samples=samples, seed=4, workers=2)
+    assert h1.counts == h2.counts and h1.total() == samples
 
 
 def test_batch_path_multiword():
