@@ -9,19 +9,20 @@ standing cross-check.
 `scan`, `certified_table` and `identity_check` share one numpy engine.
 g(d) for every squarefree d up to their limit is tabulated once per
 process (`monsky.redei_g_table`, which holds only the largest table
-built, limit + 1 bytes, until exit) and handed to every block.  A block
-yields its n as same-r stacks (`numtheory.same_r_stacks`), and a stack
-gets its divisor sums from one `lfun.divisor_sums_batch` call and
-its determinant forms from one `monsky.twist_batch` and one
-`monsky.form_coranks` call: every row form and the Selmer form for a
-scan, the Selmer form of the certified n for `certified_table` (the row
-is the first nonzero sum), and every row form for `identity_check`,
-which records each (n, row) whose two columns differ.  The columns share
-the factorization and the symbols but no form: a wrong g or a wrong row
-form shows as an identity mismatch.
+built, limit + 1 bytes, until exit) and handed to every block.  Each
+block of `BLOCK` integers is factored once and yields its n as one stack
+per prime count r (`numtheory.same_r_stacks`), at most BLOCK / 8 n.  A
+stack gets its divisor sums from `lfun.divisor_sums_batch` (cut to
+`lfun.PAIR_BUDGET` pairs) and its determinant forms from one
+`monsky.twist_batch` and one `monsky.form_coranks` call: every row form
+and the Selmer form for a scan, the Selmer form of the certified n for
+`certified_table` (the row is the first nonzero sum), and every row form
+for `identity_check`, which records each (n, row) whose two columns
+differ.  The columns share the factorization and the symbols but no
+form: a wrong g or a wrong row form shows as an identity mismatch.
 
-The census has no divisor sums: each same-r stack of n = 3 (mod 4) gets
-its 4-ranks from one `altsim.four_rank_batch` call.
+The census has no divisor sums: each same-r stack of n = 3 (mod 4), at
+most BLOCK / 4 n, gets its 4-ranks from one `altsim.four_rank_batch` call.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ from .monsky import (
     rows_for_residue,
     twist_batch,
 )
-from .numtheory import PrimeSieve, map_blocks, same_r_stacks, spans
+from .numtheory import BLOCK, PrimeSieve, map_blocks, same_r_stacks, spans
 
 __all__ = [
     "BLOCK",
-    "CHUNK",
     "DensityReport",
     "FourRankCensus",
     "Certificate",
@@ -55,9 +55,6 @@ __all__ = [
     "identity_check",
     "fourrank_census",
 ]
-
-BLOCK = 1 << 16  # block length for parallel partitioning
-CHUNK = 1024  # same-r twists ranked together in a scan block
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -197,9 +194,7 @@ def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, workers=1):
 def _block_stacks(args) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(ns, primes, divisor sums) of each same-r stack of one block."""
     residue, lo, hi = args
-    # A slice of 8 * CHUNK integers holds at most CHUNK n = residue (mod
-    # 8), which bounds the twists ranked together.
-    for ns, stack in same_r_stacks(lo, hi, 8 * CHUNK, _SIEVE, residue, 8):
+    for ns, stack in same_r_stacks(lo, hi, _SIEVE, residue, 8):
         yield ns, stack, divisor_sums_batch(residue, ns, stack, _GTABLE)
 
 
@@ -310,9 +305,7 @@ def identity_check(
 def _census_block(args) -> FourRankCensus:
     lo, hi = args
     census = FourRankCensus(limit=_SIEVE.limit)
-    # A slice of 16 * CHUNK integers holds 4 * CHUNK n = 3 (mod 4), which
-    # bounds the arrays a block holds at once.
-    for ns, stack in same_r_stacks(lo, hi, 16 * CHUNK, _SIEVE, residue=3, modulus=4):
+    for ns, stack in same_r_stacks(lo, hi, _SIEVE, residue=3, modulus=4):
         census.total += ns.size
         ks, counts = np.unique(four_rank_batch(stack), return_counts=True)
         for k, c in zip(ks.tolist(), counts.tolist()):

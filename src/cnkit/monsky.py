@@ -32,11 +32,13 @@ from . import gf2
 from ._batchrank import pack_rows, rank_batch
 from .gf2 import F2Matrix, F2Vector
 from .numtheory import (
+    BLOCK,
     FactoredInteger,
     PrimeSieve,
     legendre_plus,
     legendre_plus_bulk,
     same_r_stacks,
+    spans,
 )
 
 __all__ = [
@@ -180,9 +182,6 @@ def redei_g(f: FactoredInteger) -> int:
     return redei_g_parts(t.a, t.z, mod4)
 
 
-# Integers per slice of `_build_g_table`: larger slices pay off little
-# and raise the peak memory of a scan.
-_G_SLICE = 1 << 13
 # The largest g table built in this process, b"" before the first.
 _G_TABLE = b""
 
@@ -205,29 +204,30 @@ def _build_g_table(limit: int, sieve: PrimeSieve) -> bytes:
     """g(d) for every squarefree d <= limit, as one byte per d (0 for the
     other d).
 
-    An odd d and 2d share the (A, z) of d, so only odd d are factored,
-    stack by stack with `numtheory.same_r_stacks`, and the r x r forms of
+    An odd d and 2d share the (A, z) of d, so only the odd d are
+    factored, once per block of `BLOCK` integers, and cut into same-r
+    stacks with `numtheory.same_r_stacks`; the r x r forms of
     `redei_g_parts` of a stack's d, and of 2d wherever 2d <= limit, are
-    ranked in one `rank_batch` call: A with its first column replaced by
-    z for d = 1 (mod 4) (a column permutation of [A without column 1 |
-    z]), A with its first row and column replaced by those of the
-    identity for d = 3 (mod 4), and A + D_z for 2d.  g = 1 iff the form
-    has full rank, as the 0 x 0 forms of d = 1 and 2 do.
+    ranked by `rank_batch`: A with its first column replaced by z for
+    d = 1 (mod 4) (a column permutation of [A without column 1 | z]),
+    A with its first row and column replaced by those of the identity
+    for d = 3 (mod 4), and A + D_z for 2d.  g = 1 iff the form has full
+    rank, as the 0 x 0 forms of d = 1 and 2 do.
     """
     table = np.zeros(max(limit, 0) + 1, dtype=np.uint8)
-    for d, primes in same_r_stacks(1, limit + 1, _G_SLICE, sieve, 1, 2):
-        rv = primes.shape[1]
-        a, _, z = twist_batch(primes)
-        double = d <= limit // 2
-        a2 = a[double] ^ z[double, :, None] * np.eye(rv, dtype=np.uint8)
-        one, three = d % 4 == 1, d % 4 == 3
-        # Slices rather than index 0, which an r = 0 stack lacks.
-        a[one, :, :1] = z[one, :, None]
-        a[three, :1] = 0
-        a[three, :, :1] = np.eye(rv, 1, dtype=np.uint8)
-        full = rank_batch(pack_rows(np.concatenate([a, a2]))) == rv
-        table[d] = full[: d.size]
-        table[2 * d[double]] = full[d.size :]
+    for lo, hi in spans(1, limit + 1, BLOCK):
+        for d, primes in same_r_stacks(lo, hi, sieve, 1, 2):
+            rv = primes.shape[1]
+            a, _, z = twist_batch(primes)
+            double = d <= limit // 2
+            a2 = a[double] ^ z[double, :, None] * np.eye(rv, dtype=np.uint8)
+            one, three = d % 4 == 1, d % 4 == 3
+            # Slices rather than index 0, which an r = 0 stack lacks.
+            a[one, :, :1] = z[one, :, None]
+            a[three, :1] = 0
+            a[three, :, :1] = np.eye(rv, 1, dtype=np.uint8)
+            table[d] = rank_batch(pack_rows(a)) == rv
+            table[2 * d[double]] = rank_batch(pack_rows(a2)) == rv
     return table.tobytes()
 
 

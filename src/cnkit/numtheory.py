@@ -8,8 +8,9 @@ The bulk symbols are one lookup in a table of quadratic characters
 modulo every odd prime below a power of two, built once per process and
 capped at `QR_TABLE_CAP`.
 
-Range work is cut one way: `spans` into blocks or slices,
-`same_r_stacks` into same-r stacks, and `map_blocks` maps over blocks.
+Range work is cut one way: `spans` cuts a range into blocks of `BLOCK`
+integers, `map_blocks` maps over them, and `same_r_stacks` factors one
+block at once and hands it on as one stack per prime count r.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
+    "BLOCK",
     "NotSquarefreeError",
     "ResourceLimitError",
     "PrimeSieve",
@@ -50,6 +52,8 @@ class NotSquarefreeError(ValueError):
 class ResourceLimitError(RuntimeError):
     """Raised when a requested table would exceed the memory budget."""
 
+
+BLOCK = 1 << 16  # integers per block: the one width a range is cut by
 
 # Default budget for the smallest-prime-factor table (uint32 entries).
 DEFAULT_SIEVE_BUDGET = 2 ** 32  # bytes
@@ -144,18 +148,19 @@ def factor_squarefree_range(
     ns = np.arange(lo + (residue - lo) % modulus, hi, modulus, dtype=np.int64)
     m = np.where(ns % 2 == 0, ns // 2, ns)
     ok = m % 2 == 1  # n not divisible by 4
-    m[~ok] = 1
+    # idx: the n still being divided; m: what is left of each
+    idx = np.flatnonzero(ok & (m > 1))
+    m = m[idx]
     spf = sieve.spf
     cols = []
-    idx = np.flatnonzero(m > 1)
     while idx.size:
-        p = spf[m[idx]].astype(np.int64)
-        m[idx] //= p
-        bad = m[idx] % p == 0
+        p = spf[m]
+        m //= p
+        bad = m % p == 0
         ok[idx[bad]] = False
-        m[idx[bad]] = 1
         cols.append((idx, p))
-        idx = idx[m[idx] > 1]
+        more = (m > 1) & ~bad
+        idx, m = idx[more], m[more]
     primes = np.zeros((ns.size, len(cols)), dtype=np.int64)
     for j, (idx, p) in enumerate(cols):
         primes[idx, j] = p
@@ -170,19 +175,17 @@ def spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
 
 
 def same_r_stacks(
-    lo: int, hi: int, width: int, sieve: PrimeSieve, residue: int = 0, modulus: int = 1
+    lo: int, hi: int, sieve: PrimeSieve, residue: int = 0, modulus: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The squarefree n in [lo, hi) with n = residue (mod modulus), as
-    same-r stacks: [lo, hi) is cut into slices of width integers, each
-    slice is factored at once, and for each prime count r of the slice in
-    turn this yields (ns, primes), ns ascending and primes their (count, r)
-    array of odd primes."""
-    for s_lo, s_hi in spans(lo, hi, width):
-        ns, primes = factor_squarefree_range(s_lo, s_hi, sieve, residue, modulus)
-        r = (primes != 0).sum(axis=1)
-        for rv in np.unique(r).tolist():
-            pick = r == rv
-            yield ns[pick], primes[pick, :rv]
+    same-r stacks: [lo, hi) is factored at once, and for each prime count
+    r in turn this yields (ns, primes), ns ascending and primes their
+    (count, r) array of odd primes."""
+    ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
+    r = (primes != 0).sum(axis=1)
+    for rv in np.unique(r).tolist():
+        pick = r == rv
+        yield ns[pick], primes[pick, :rv]
 
 
 # Imported by the first pool run of `map_blocks`, so that importing cnkit

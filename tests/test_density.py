@@ -235,16 +235,61 @@ def test_scan_matches_scalar_reference(sieve, residue):
 
 @pytest.mark.parametrize("residue", [3, 7])
 def test_scan_chunk_independence(monkeypatch, residue):
-    import cnkit.density as density
-
-    limit = 2 * (1 << 16) + 4000  # spans three blocks
+    # Blocks of 4099 integers, not a multiple of 8, start at any residue;
+    # neither the block size nor the worker count changes the scan.
+    limit = 2 * (1 << 16) + 4000  # spans three default blocks
     sieve = sieve_init(limit)
     default = scan(residue, limit, sieve)
     par = scan(residue, limit, sieve, workers=3)
-    monkeypatch.setattr(density, "CHUNK", 7)
+    monkeypatch.setattr(density, "BLOCK", 4099)
     small = scan(residue, limit, sieve)
     assert small == default
     assert par == default
+
+
+def test_block_partition_independence(monkeypatch):
+    # The same 4099-integer blocks leave every other block-wise result as
+    # it is with the default block size.
+    limit = 2 * (1 << 16) + 4000  # spans three default blocks
+    sieve = sieve_init(limit)
+
+    def results():
+        return (
+            [list(certified_table(residue, limit, sieve)) for residue in (5, 6, 7)],
+            identity_check(limit, sieve),
+            fourrank_census(limit, sieve),
+            monsky._build_g_table(limit, sieve),
+        )
+
+    default = results()
+    monkeypatch.setattr(density, "BLOCK", 4099)
+    monkeypatch.setattr(monsky, "BLOCK", 4099)
+    assert results() == default
+
+
+def test_one_factorization_per_block(sieve, monkeypatch, cold_g_table):
+    # A g-table build, a one-residue scan and the census each factor
+    # every block of the range once.
+    import cnkit.numtheory as numtheory
+
+    calls = []
+    factor = numtheory.factor_squarefree_range
+
+    def counting(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(numtheory, "factor_squarefree_range", counting)
+    limit = sieve.limit
+    blocks = -(-limit // density.BLOCK)
+    for run in (
+        lambda: monsky.redei_g_table(limit, sieve),
+        lambda: scan(5, limit, sieve),
+        lambda: fourrank_census(limit, sieve),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == blocks == 2
 
 
 @pytest.mark.parametrize("residue", [2, 5, 6, 7])

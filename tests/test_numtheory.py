@@ -299,12 +299,14 @@ def test_qr_table_cap_covers_the_largest_default_sieve():
 def test_same_r_stacks_regroup_the_range(sieve, residue, modulus):
     ns, primes = factor_squarefree_range(5, 20_000, sieve, residue, modulus)
     want = {n: tuple(p for p in row if p) for n, row in zip(ns.tolist(), primes.tolist())}
-    got = {}
-    for stack_ns, stack in same_r_stacks(5, 20_000, 1000, sieve, residue, modulus):
+    got, rs = {}, []
+    for stack_ns, stack in same_r_stacks(5, 20_000, sieve, residue, modulus):
         assert stack.shape[0] == stack_ns.size > 0 and (stack != 0).all()
         assert (stack_ns[1:] > stack_ns[:-1]).all()
         got.update(zip(stack_ns.tolist(), map(tuple, stack.tolist())))
+        rs.append(stack.shape[1])
     assert got == want
+    assert len(rs) == len(set(rs))  # one stack per r
 
 
 def test_map_blocks_order_and_initializer():
