@@ -12,8 +12,7 @@ Usage:
 Exit codes: 0 success, 1 identity/assertion failure, 2 resource error,
 3 bad arguments.  Seeded commands are byte-reproducible for any worker
 count.  CSV schemas are fixed; JSON mirrors the same rows plus a meta
-object.  The environment variable CNKIT_SIEVE_CACHE may point to a
-binary sieve cache file.
+object.
 """
 
 from __future__ import annotations
@@ -23,12 +22,7 @@ import csv
 import hashlib
 import io
 import json
-import os
-import struct
 import sys
-import tempfile
-
-import numpy as np
 
 from . import __version__
 from .altsim import (
@@ -43,7 +37,6 @@ from .classgroup import classgroup_oracle
 from .density import certified_table, identity_check, scan, wilson_ci
 from .monsky import build_twist, redei_g, row_matrix
 from .numtheory import (
-    PrimeSieve,
     ResourceLimitError,
     enumerate_squarefree,
     factor_squarefree,
@@ -55,10 +48,6 @@ EXIT_FAILED = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 3
 
-_SIEVE_MAGIC = b"CNKSPF"
-_SIEVE_VERSION = 2
-SIEVE_CACHE_ENV = "CNKIT_SIEVE_CACHE"
-
 
 class _ArgumentError(Exception):
     pass
@@ -67,60 +56,6 @@ class _ArgumentError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse failures to exit code 3
         raise _ArgumentError(message)
-
-
-def save_sieve(sieve: PrimeSieve, path: str) -> None:
-    """Write the sieve as a versioned little-endian word table.
-
-    The header holds the magic, the version, the limit and the SHA-256 of
-    the words.  The file is written under a temporary name and moved into
-    place, so a reader never sees a partly written cache.
-    """
-    words = sieve.spf.astype("<u4").tobytes()
-    header = _SIEVE_MAGIC + struct.pack("<IQ", _SIEVE_VERSION, sieve.limit)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header + hashlib.sha256(words).digest() + words)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_sieve(path: str) -> PrimeSieve | None:
-    """The cached sieve, or None when the file is missing, of another
-    version, truncated or fails its checksum."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        return None
-    head = len(_SIEVE_MAGIC) + 12
-    if len(blob) < head + 32 or not blob.startswith(_SIEVE_MAGIC):
-        return None
-    version, limit = struct.unpack("<IQ", blob[len(_SIEVE_MAGIC) : head])
-    digest, words = blob[head : head + 32], blob[head + 32 :]
-    if version != _SIEVE_VERSION or len(words) != 4 * (limit + 1):
-        return None
-    if hashlib.sha256(words).digest() != digest:
-        return None
-    return PrimeSieve(limit=int(limit), spf=np.frombuffer(words, dtype="<u4").astype(np.uint32))
-
-
-def _obtain_sieve(limit: int) -> PrimeSieve:
-    path = os.environ.get(SIEVE_CACHE_ENV)
-    if path:
-        cached = load_sieve(path)
-        if cached is not None and cached.limit >= limit:
-            return cached
-    sieve = sieve_init(limit)
-    if path:
-        try:
-            save_sieve(sieve, path)
-        except OSError:
-            pass  # cache is best-effort
-    return sieve
 
 
 def _config_hash(params: dict) -> str:
@@ -177,7 +112,7 @@ def _meta(args, seed=None, **params) -> dict:
 
 
 def cmd_verify(args) -> int:
-    sieve = _obtain_sieve(max(2, args.max_n))
+    sieve = sieve_init(max(2, args.max_n))
     rows_checked, n_checked, mismatches = identity_check(args.max_n, sieve)
     rows_out = []
     for n, row, sum_value, det_value in mismatches:
@@ -190,7 +125,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    sieve = _obtain_sieve(max(2, args.max_n))
+    sieve = sieve_init(max(2, args.max_n))
     rep = scan(args.residue, args.max_n, sieve, workers=args.workers)
     rows = []
     for metric, count, total in rep.metrics():
@@ -205,7 +140,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    sieve = _obtain_sieve(max(2, args.max_n))
+    sieve = sieve_init(max(2, args.max_n))
     rows = [
         [c.n, c.residue, c.row, c.rank3, c.value]
         for c in certified_table(args.residue, args.max_n, sieve)
@@ -252,7 +187,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_classcheck(args) -> int:
-    sieve = _obtain_sieve(max(2, args.max_n))
+    sieve = sieve_init(max(2, args.max_n))
     disagreements = []
     checked = 0
     for f in enumerate_squarefree(1, 1, args.max_n, sieve):

@@ -9,16 +9,16 @@ standing cross-check.
 `scan`, `certified_table` and `identity_check` share one numpy engine.
 g(d) for every squarefree d up to their limit is tabulated once per
 process (`monsky.redei_g_table`, which holds only the largest table
-built, limit + 1 bytes, until exit) and handed to every block.  Each
-block of `BLOCK` integers is factored once and yields its n as one stack
-per prime count r (`numtheory.same_r_stacks`), at most BLOCK / 8 n.  A
-stack gets its divisor sums from `lfun.divisor_sums_batch` (cut to
-`lfun.PAIR_BUDGET` pairs) and its determinant forms from one
-`monsky.twist_batch` and one `monsky.form_coranks` call: every row form
-and the Selmer form for a scan, the Selmer form of the certified n for
-`certified_table` (the row is the first nonzero sum), and every row form
-for `identity_check`, which records each (n, row) whose two columns
-differ.  The columns share the factorization and the symbols but no
+built, a limit + 1-byte read-only array, until exit) and handed to every
+block.  Each block of `BLOCK` integers is factored once and yields its n
+as one stack per prime count r (`numtheory.same_r_stacks`), at most
+BLOCK / 8 n.  A stack gets its divisor sums from
+`lfun.divisor_sums_batch` (cut to `lfun.PAIR_BUDGET` pairs) and its
+determinant forms from one `monsky.twist_batch` and one
+`monsky.form_coranks` call: every row form and the Selmer form for a
+scan, the Selmer form of the certified n for `certified_table` (the row
+is the first nonzero sum), and every row form for `identity_check`,
+which records each (n, row) whose two columns differ.  The columns share the factorization and the symbols but no
 form: a wrong g or a wrong row form shows as an identity mismatch.
 
 The census has no divisor sums: each same-r stack of n = 3 (mod 4), at
@@ -165,10 +165,10 @@ class FourRankCensus:
 # Per-worker state, set by `_init_worker` once per pool worker, or before
 # each block of a serial run: the sieve and the g table of the run.
 _SIEVE: PrimeSieve | None = None
-_GTABLE: bytes | None = None
+_GTABLE: np.ndarray | None = None
 
 
-def _init_worker(sieve: PrimeSieve, gtable: bytes | None = None) -> None:
+def _init_worker(sieve: PrimeSieve, gtable: np.ndarray | None = None) -> None:
     global _SIEVE, _GTABLE
     _SIEVE, _GTABLE = sieve, gtable
 

@@ -347,7 +347,7 @@ def _stack_sums(
 
 
 def divisor_sums_batch(
-    residue: int, ns: np.ndarray, primes: np.ndarray, gtable: bytes
+    residue: int, ns: np.ndarray, primes: np.ndarray, gtable: np.ndarray
 ) -> np.ndarray:
     """The divisor sums of a stack of same-r n, as a (count, rows) bool
     array: row k is `divisor_sum` of every row for `residue` at ns[k].
@@ -360,11 +360,10 @@ def divisor_sums_batch(
     out = np.empty((ns.size, len(rows_for_residue(residue))), dtype=bool)
     if np.any(ns % 8 != residue):
         raise ValueError(f"every n must be {residue} (mod 8)")
-    table = np.frombuffer(gtable, dtype=np.uint8)
     step = max(1, PAIR_BUDGET // 3 ** primes.shape[1])
     for lo in range(0, ns.size, step):
         cut = slice(lo, lo + step)
-        out[cut] = _stack_sums(residue, ns[cut], primes[cut], table)
+        out[cut] = _stack_sums(residue, ns[cut], primes[cut], gtable)
     return out
 
 

@@ -13,11 +13,12 @@ of same-r n as uint8 arrays, the symbols of A looked up in the
 quadratic-residue table of `numtheory.legendre_plus_bulk`;
 `redei_g_table` tabulates g(d) for every squarefree d up to a limit once
 per process, factoring only odd d and ranking the forms of d and 2d
-together, and holds the largest table (limit + 1 bytes) until exit; and
-the eight row forms are data, one entry each of the `_ROW_FORMS` border
-table, from which `row_matrix_batch` assembles a form for a stack of
-same-r twists as a (count, m, m) bit array and `form_coranks` ranks
-several forms of such a stack with one `rank_batch` call.
+together, and holds the largest table (a limit + 1-byte read-only array)
+until exit; and the eight row forms are data, one entry each of the
+`_ROW_FORMS` border table, from which `row_matrix_batch` assembles a
+form for a stack of same-r twists as a (count, m, m) bit array and
+`form_coranks` ranks several forms of such a stack with one `rank_batch`
+call.
 """
 
 from __future__ import annotations
@@ -182,27 +183,27 @@ def redei_g(f: FactoredInteger) -> int:
     return redei_g_parts(t.a, t.z, mod4)
 
 
-# The largest g table built in this process, b"" before the first.
-_G_TABLE = b""
+# The largest g table built in this process, empty before the first.
+_G_TABLE = np.zeros(0, dtype=np.uint8)
 
 
-def redei_g_table(limit: int, sieve: PrimeSieve) -> bytes:
+def redei_g_table(limit: int, sieve: PrimeSieve) -> np.ndarray:
     """g(d) for every squarefree d <= limit (`_build_g_table`), from the
     largest table built in this process: the same object for the same
-    limit, a prefix for a smaller one, a rebuild for a larger one."""
+    limit, a prefix view for a smaller one, a rebuild for a larger one."""
     global _G_TABLE
     if limit > sieve.limit:
         raise ValueError(f"range end {limit} exceeds sieve limit {sieve.limit}")
     size = max(limit, 0) + 1
-    if len(_G_TABLE) < size:
-        _G_TABLE = b""  # dropped before the larger table is built
+    if _G_TABLE.size < size:
+        _G_TABLE = np.zeros(0, dtype=np.uint8)  # dropped before the larger build
         _G_TABLE = _build_g_table(limit, sieve)
-    return _G_TABLE if len(_G_TABLE) == size else _G_TABLE[:size]
+    return _G_TABLE if _G_TABLE.size == size else _G_TABLE[:size]
 
 
-def _build_g_table(limit: int, sieve: PrimeSieve) -> bytes:
-    """g(d) for every squarefree d <= limit, as one byte per d (0 for the
-    other d).
+def _build_g_table(limit: int, sieve: PrimeSieve) -> np.ndarray:
+    """g(d) for every squarefree d <= limit, as a read-only uint8 array
+    of one byte per d (0 for the other d).
 
     An odd d and 2d share the (A, z) of d, so only the odd d are
     factored, once per block of `BLOCK` integers, and cut into same-r
@@ -228,7 +229,8 @@ def _build_g_table(limit: int, sieve: PrimeSieve) -> bytes:
             a[three, :, :1] = np.eye(rv, 1, dtype=np.uint8)
             table[d] = rank_batch(pack_rows(a)) == rv
             table[2 * d[double]] = rank_batch(pack_rows(a2)) == rv
-    return table.tobytes()
+    table.flags.writeable = False
+    return table
 
 
 def _b_mat(a: F2Matrix) -> F2Matrix:

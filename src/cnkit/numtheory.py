@@ -15,6 +15,7 @@ block at once and hands it on as one stack per prime count r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -96,15 +97,14 @@ def sieve_init(limit: int, max_bytes: int = DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
         raise ResourceLimitError(
             f"sieve to {limit} needs {4 * (limit + 1)} bytes, budget is {max_bytes}"
         )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, int(limit ** 0.5) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    # Remaining zeros at indices >= 2 are primes (no factor <= sqrt(limit)).
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-    spf[1] = 1
+    # Every m starts as its own factor; each prime p lowers the odd
+    # multiples from p^2 on, and smaller primes, struck first, stay.
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    spf[4::2] = 2
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if spf[p] == p:
+            strike = spf[p * p :: 2 * p]
+            np.minimum(strike, p, out=strike)
     return PrimeSieve(limit=limit, spf=spf)
 
 

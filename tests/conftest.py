@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cnkit import monsky
@@ -14,6 +15,6 @@ def cold_g_table(monkeypatch):
         built.append(limit)
         return build(limit, sieve)
 
-    monkeypatch.setattr(monsky, "_G_TABLE", b"")
+    monkeypatch.setattr(monsky, "_G_TABLE", np.zeros(0, dtype=np.uint8))
     monkeypatch.setattr(monsky, "_build_g_table", counting)
     return built

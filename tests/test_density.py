@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cnkit import density, monsky
@@ -264,7 +265,9 @@ def test_block_partition_independence(monkeypatch):
     default = results()
     monkeypatch.setattr(density, "BLOCK", 4099)
     monkeypatch.setattr(monsky, "BLOCK", 4099)
-    assert results() == default
+    got = results()
+    assert got[:3] == default[:3]
+    assert np.array_equal(got[3], default[3])
 
 
 def test_one_factorization_per_block(sieve, monkeypatch, cold_g_table):

@@ -380,8 +380,8 @@ def test_redei_g_table_matches_redei_g_to_1e5(sieve):
         want = redei_g(f) if f is not None else 0
         assert table[d] == want, d
     assert table[0] == 0
-    assert _fresh_g_table(0, sieve) == b"\x00"
-    assert _fresh_g_table(2, sieve) == b"\x00\x01\x01"
+    assert _fresh_g_table(0, sieve).tolist() == [0]
+    assert _fresh_g_table(2, sieve).tolist() == [0, 1, 1]
 
 
 def test_redei_g_table_every_small_limit(sieve):
@@ -397,11 +397,14 @@ def test_redei_g_table_every_small_limit(sieve):
 
 def test_redei_g_table_serves_prefixes_of_one_build(sieve, cold_g_table):
     whole = redei_g_table(10 ** 5, sieve)
-    assert whole == _fresh_g_table(10 ** 5, sieve)
+    assert np.array_equal(whole, _fresh_g_table(10 ** 5, sieve))
+    assert not whole.flags.writeable
     for limit in (-1, 0, 1, 2, 13, 10 ** 4):
-        assert redei_g_table(limit, sieve) == _fresh_g_table(limit, sieve), limit
+        prefix = redei_g_table(limit, sieve)
+        assert np.array_equal(prefix, _fresh_g_table(limit, sieve)), limit
+        assert np.shares_memory(prefix, whole) and not prefix.flags.writeable, limit
     assert redei_g_table(10 ** 5, sieve) is whole
-    assert redei_g_table(10 ** 5 - 1, sieve) == whole[:-1]
+    assert np.array_equal(redei_g_table(10 ** 5 - 1, sieve), whole[:-1])
     assert cold_g_table == [10 ** 5]
 
 
@@ -409,8 +412,10 @@ def test_redei_g_table_rebuilds_for_a_larger_limit(sieve, cold_g_table):
     small = redei_g_table(100, sieve)
     large = redei_g_table(1000, sieve)
     assert cold_g_table == [100, 1000]
-    assert large[:101] == small and large == _fresh_g_table(1000, sieve)
-    assert redei_g_table(100, sieve) == small
+    assert np.array_equal(large[:101], small)
+    assert np.array_equal(large, _fresh_g_table(1000, sieve))
+    assert np.array_equal(redei_g_table(100, sieve), small)
+    assert np.shares_memory(redei_g_table(100, sieve), large)
     assert cold_g_table == [100, 1000]
 
 

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,23 @@ def test_sieve_invariants(sieve):
         p = int(spf[m])
         assert m % p == 0
         assert sieve.is_prime(p)
+
+
+def _spf_by_trial_division(m):
+    return next((p for p in range(2, math.isqrt(m) + 1) if m % p == 0), m)
+
+
+def test_sieve_matches_trial_division_at_the_square_edges():
+    # Every limit to 64, and p^2 - 1, p^2 and p^2 + 1 for each prime
+    # p <= 31: the strike of p starts at p^2, and p is struck at all
+    # only when p <= isqrt(limit).
+    primes = [p for p in range(2, 32) if _spf_by_trial_division(p) == p]
+    limits = set(range(2, 65)) | {p * p + e for p in primes for e in (-1, 0, 1)}
+    for limit in sorted(limits):
+        spf = sieve_init(limit).spf
+        assert spf.dtype == np.uint32 and spf.size == limit + 1, limit
+        want = [0, 1] + [_spf_by_trial_division(m) for m in range(2, limit + 1)]
+        assert spf.tolist() == want, limit
 
 
 def test_sieve_budget():
