@@ -9,9 +9,12 @@ holds a pivot bit of an earlier row, so the rows left nonzero are
 independent and their number is the rank.  `gf2.rank` is the scalar
 reference it is tested against.
 
-The batch is ranked in tiles of at most `TILE_WORDS` words, each with
-its own copy and one scratch array of the same shape, so that every
-pass over the rows below a pivot stays in L2 and allocates nothing.
+The batch is ranked in tiles of `tile_matrices(n, w)` matrices, at most
+`TILE_WORDS` words, each with its own copy and one scratch array of the
+same shape, so that every pass over the rows below a pivot stays in L2
+and allocates nothing.  The tile is also the Monte Carlo sub-block:
+`altsim` assembles one tile of matrices at a time and ranks it in one
+call.
 Row k takes three in-place passes, about n^2/2 row passes in all, with
 no Python loop over matrices: hit = below & low (0 or the pivot bit),
 hit scaled to 0 or the pivot row, below ^= hit.  For w = 1 the pivot
@@ -47,10 +50,15 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
+def tile_matrices(n: int, w: int) -> int:
+    """Matrices of n rows of w words in one tile: TILE_WORDS words, or one matrix."""
+    return max(1, TILE_WORDS // max(1, n * w))
+
+
 def rank_batch(mats: np.ndarray) -> np.ndarray:
     """GF(2) ranks of a (batch, n, w) uint64 word array; the input is not modified."""
     batch, n, w = mats.shape
-    tile = max(1, TILE_WORDS // max(1, n * w))
+    tile = tile_matrices(n, w)
     ranks = np.empty(batch, dtype=np.intp)
     for lo in range(0, batch, tile):
         rows = mats[lo : lo + tile].transpose(1, 2, 0).copy()

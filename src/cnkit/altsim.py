@@ -14,22 +14,25 @@ time or batched over a stack of same-r n.
 
 The Monte Carlo path works on blocks of MC_BLOCK assignments: one draw
 of class indices and of the strict upper triangle U as uint64 row words
-per block, U^T by a word-level bit transpose, matrices assembled
-straight into the words of `rank_batch` (no 0/1 matrix is built), and
-one `rank_batch` call.  `build_alt` is the scalar reference for each
-matrix.
+per block.  The block is then assembled and ranked one sub-block at a
+time, each sub-block one tile of the rank kernel
+(`_batchrank.tile_matrices`, 1,074 samples at r = 30), so that every
+temporary stays cache-sized: U^T by a word-level bit transpose, the
+matrices assembled straight into the words of `rank_batch` (no 0/1
+matrix is built), and one `rank_batch` call.  `build_alt` is the scalar
+reference for each matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from math import gcd, inf, isqrt
 
 import numpy as np
 
 from . import gf2
-from ._batchrank import pack_rows, rank_batch
+from ._batchrank import pack_rows, rank_batch, tile_matrices
 from .classgroup import ClassGroupInfo, classgroup_oracle
 from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
@@ -244,14 +247,6 @@ class CorankHistogram:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def _symbol_table(cfg: AltConfig, reps: tuple[int, ...]) -> dict[int, np.ndarray]:
-    divisors = {-1, 2, cfg.d_diag, *cfg.t1, *cfg.t2, *cfg.q1, *cfg.q2}
-    return {
-        dd: np.array([_sym_plus(dd, rep) for rep in reps], dtype=np.uint8)
-        for dd in divisors
-    }
 
 
 def _assignment_bits(cfg: AltConfig, src: BitAssignment):
@@ -512,12 +507,11 @@ MC_BLOCK = 4096
 MC_BUDGET = 2 ** 30  # bytes that one Monte Carlo block may take
 
 
-def _check_block(r: int, count: int, per_sample: int) -> None:
-    """Reject r < 1, and a block whose arrays would exceed MC_BUDGET,
-    before anything is allocated."""
+def _check_block(r: int, count: int, need: int) -> None:
+    """Reject r < 1, and a block whose arrays would take need > MC_BUDGET
+    bytes, before anything is allocated."""
     if r < 1:
         raise ValueError("r must be positive")
-    need = count * per_sample
     if need > MC_BUDGET:
         raise ResourceLimitError(
             f"a block of {count} samples at r={r} needs about {need} bytes, "
@@ -596,19 +590,33 @@ def draw_assignments(
     # then the assignment: r row ints of up to 28 + 9 wr bytes and two
     # tuples of r pointers (tracemalloc peaks of 4096 samples: 2.0 kB at
     # r = 30 and 5.4 kB at r = 70; this gives 2.6 and 7.8 kB)
-    _check_block(r, count, r * (64 + 24 * ((r + 63) // 64)))
+    _check_block(r, count, count * r * (64 + 24 * ((r + 63) // 64)))
     cls, upper = _draw_block(cfg, r, rng, count)
     return [_materialize(cfg, cls[i], upper[i]) for i in range(count)]
 
 
+@cache
+def _symbol_bits(d: int, dd: int) -> np.ndarray:
+    """(dd/rep)_+ over the unit class representatives mod 8D.  The
+    result is shared, so it is read-only."""
+    bits = np.array([_sym_plus(dd, rep) for rep in _unit_class_reps(d)[0]], dtype=np.uint8)
+    bits.flags.writeable = False
+    return bits
+
+
 def _or_at(rows: np.ndarray, field: np.ndarray, off: int) -> None:
-    """OR the words of a bit field (..., wf) into the word rows (..., w)
-    at bit offset off, spilling into the next word across a boundary."""
-    for f in range(field.shape[-1]):
-        q, s = divmod(off + 64 * f, 64)
-        rows[..., q] |= field[..., f] << np.uint64(s)
-        if s and q + 1 < rows.shape[-1]:
-            rows[..., q + 1] |= field[..., f] >> np.uint64(64 - s)
+    """OR the words of a bit field (n, wf, c) into the word rows (n, w, c)
+    at bit offset off: at a word boundary straight in, elsewhere shifted,
+    spilling into the next word."""
+    q, s = divmod(off, 64)
+    wf = field.shape[1]
+    if s == 0:
+        rows[:, q : q + wf] |= field
+        return
+    rows[:, q : q + wf] |= field << s
+    spill = min(wf, rows.shape[1] - q - 1)
+    if spill:
+        rows[:, q + 1 : q + 1 + spill] |= field[:, :spill] >> (64 - s)
 
 
 # The masked swap stages of a 64 x 64 bit transpose, widest first: stage
@@ -662,67 +670,93 @@ def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.nd
     would give.
 
     upper is U in the row words of `_draw_block`, with no bit at or below
-    the diagonal.  Every r x r block is built as r-bit row fields in
-    words: S = U + U^T by `_transpose_words`, y.y^T and each B(q) as
-    masks on the packed symbol bits, and the diagonal of A as the parity
-    of its rows.  The fields are then ORed in at their column offsets.
+    the diagonal.  The words are built as a (row, word, sample) array,
+    the samples innermost, and returned as a (count, m, w) view of it.
+    Each divisor's symbol bits are gathered once, as (row, sample), and
+    packed once into symbol words (word, sample).  Every r x r block is
+    built as r-bit row fields in words: S = U + U^T by `_transpose_words`,
+    y.y^T and each B(q) as symbol bits times a symbol word, and the
+    diagonal of A as the parity of its rows.  The fields at column 0 are
+    written straight into their rows, the others ORed in at their offsets.
     """
-    reps = _unit_class_reps(cfg.d)[0]
-    tables = _symbol_table(cfg, reps)
     count, r = cls.shape
-    t = cfg.t
-    m = 2 * r + t
-    above, below, eye = _row_masks(r)
+    m = 2 * r + cfg.t
+    below, eye = (mask[:, :, None] for mask in _row_masks(r)[1:])
+    wr = eye.shape[1]
+    bits, word = {}, {}
+    for dd in {-1, cfg.d_diag, *cfg.t1, *cfg.t2, *cfg.q1, *cfg.q2}:
+        bits[dd] = _symbol_bits(cfg.d, dd)[cls.T]
+        word[dd] = np.dot(eye[:, :, 0].T, bits[dd])  # bit i into bit i % 64 of word i // 64
 
-    def sym(dd: int) -> np.ndarray:
-        return tables[dd][cls]
+    terms = {}
 
-    def masked(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row i of rows (r or count x r, wr) where a sample's bit i is set, else 0."""
-        return rows & (0 - bits.astype(np.uint64))[:, :, None]
+    def b_term(dd: int) -> np.ndarray:
+        """B((dd,)): row i is dd's symbol word where its bit i is set, else
+        0, off the diagonal; y.y^T off the diagonal for dd = -1."""
+        if dd not in terms:
+            terms[dd] = np.multiply(bits[dd][:, None], word[dd])
+            terms[dd] &= ~eye
+        return terms[dd]
 
     def b_block(q: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros((count, r, eye.shape[-1]), dtype=np.uint64)
-        for dd in q:
-            qb = sym(dd)
-            out ^= masked(qb, pack_rows(qb)[:, None, :] & ~eye)
-        return out
+        return reduce(np.bitwise_xor, map(b_term, q))
 
-    # A = S + (y.y^T below the diagonal), A^T = S + (y.y^T above it), S = U + U^T
-    s = upper ^ _transpose_words(upper)
-    y = sym(-1)
-    yrow = pack_rows(y)[:, None, :]
-    a = s ^ masked(y, yrow & below)
-    at = s ^ masked(y, yrow & above)
-    parity = np.bitwise_count(a).sum(axis=2, dtype=np.uint8) & 1
-    diag = masked(parity ^ sym(cfg.d_diag), eye)
-
-    words = np.zeros((count, m, (m + 63) // 64), dtype=np.uint64)
-    top, mid, bot = words[:, :r], words[:, r : 2 * r], words[:, 2 * r :]
+    words = np.zeros((m, (m + 63) // 64, count), dtype=np.uint64)
+    top, mid, bot = words[:r], words[r : 2 * r], words[2 * r :]
+    # A + D = S + (y.y^T below the diagonal) + D, written straight into its
+    # rows, with S = U + U^T and D the diagonal that makes A's rows even
+    # (plus the d_diag symbols); A^T + D = A + D + y.y^T off the diagonal
+    s = _transpose_words(upper).transpose(1, 2, 0)
+    s ^= upper.transpose(1, 2, 0)
+    yy = b_term(-1)
+    a = np.bitwise_and(yy, below, out=mid[:, :wr])
+    a ^= s
+    parity = np.bitwise_count(a[:, 0] if wr == 1 else np.bitwise_xor.reduce(a, axis=1))
+    parity &= 1
+    parity ^= bits[cfg.d_diag]
+    a |= parity[:, None] * eye
     _or_at(top, b_block(cfg.q1), 0)
-    _or_at(top, at | diag, r)
-    _or_at(mid, a | diag, 0)
+    _or_at(top, a ^ yy, r)
     _or_at(mid, b_block(cfg.q2), r)
     for i, (d1, d2) in enumerate(zip(cfg.t1, cfg.t2)):
-        c1, c2 = sym(d1), sym(d2)
-        _or_at(top, c1[:, :, None].astype(np.uint64), 2 * r + i)  # one-bit columns
-        _or_at(mid, c2[:, :, None].astype(np.uint64), 2 * r + i)
-        _or_at(bot[:, i], pack_rows(c1), 0)
-        _or_at(bot[:, i], pack_rows(c2), r)
+        q, bit = divmod(2 * r + i, 64)
+        top[:, q] |= bits[d1] * np.uint64(1 << bit)  # one-bit columns
+        mid[:, q] |= bits[d2] * np.uint64(1 << bit)
+        _or_at(bot[i : i + 1], word[d1][None], 0)
+        _or_at(bot[i : i + 1], word[d2][None], r)
     if cfg.b is not None:
-        seed_rows = np.array(cfg.b.tolist(), dtype=np.uint8).reshape(t, t)
-        _or_at(bot, pack_rows(seed_rows), 2 * r)
-    return words
+        seed_rows = np.array(cfg.b.tolist(), dtype=np.uint8).reshape(cfg.t, cfg.t)
+        _or_at(bot, pack_rows(seed_rows)[:, :, None], 2 * r)
+    return words.transpose(2, 0, 1)
+
+
+def _mc_block_bytes(r: int, t: int, count: int) -> int:
+    """An upper bound on the bytes a Monte Carlo block of count samples takes.
+
+    Per sample of the block: the class indices, with the draw's copy of
+    them, and U (16 r + 8 r wr).  Per sample of one sub-block, at most
+    `tile_matrices(m, w)` samples: the word matrix with the kernel's tile
+    copy and scratch array (24 m w), and the assembly's r-row word arrays,
+    the transpose's padded copies among them (under 64 r wr).  The
+    tracemalloc peaks of a 4096 block are 0.93 kB per sample at r = 30 and
+    2.15 kB at r = 70; this gives 1.61 and 2.96 kB.
+    """
+    m = 2 * r + t
+    w, wr = (m + 63) // 64, (r + 63) // 64
+    sub = min(count, tile_matrices(m, w))
+    return count * (16 * r + 8 * r * wr) + sub * (24 * m * w + 64 * r * wr)
 
 
 def _mc_block(args) -> np.ndarray:
     cfg, r, seed, block, count = args
     rng = _block_rng(seed, block)
     cls, upper = _draw_block(cfg, r, rng, count)
-    words = _assemble_block(cfg, cls, upper)
     m = 2 * r + cfg.t
-    coranks = m - rank_batch(words)
-    return np.bincount(coranks, minlength=m + 1)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for lo, hi in spans(0, count, tile_matrices(m, (m + 63) // 64)):
+        ranks = rank_batch(_assemble_block(cfg, cls[lo:hi], upper[lo:hi]))
+        counts += np.bincount(m - ranks, minlength=m + 1)
+    return counts
 
 
 def corank_distribution_mc(
@@ -737,23 +771,17 @@ def corank_distribution_mc(
     Samples are partitioned into fixed blocks with per-block RNG streams
     derived from (seed, block index), so results are bit-identical for
     any worker count.  Every field of cfg is used, and cfg is checked
-    with validate_config; r < 1 raises ValueError and a block over
-    MC_BUDGET raises ResourceLimitError.
+    with validate_config; r < 1 or seed < 0 raises ValueError and a block
+    over MC_BUDGET raises ResourceLimitError.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     validate_config(cfg)
+    count = min(MC_BLOCK, samples)
+    _check_block(r, count, _mc_block_bytes(r, cfg.t, count))
     m = 2 * r + cfg.t
-    w, wr = (m + 63) // 64, (r + 63) // 64
-    # per sample: the class indices and symbol bits (32 r bytes); U, the
-    # transpose's copies padded to at most 2r rows and S (about six r-row
-    # word arrays), and about eight r-bit row fields of the assembly (112
-    # r wr in all); the word matrix with room for three more copies,
-    # although the kernel's tile copy and scratch array take at most
-    # 2 * 8 * `_batchrank.TILE_WORDS` bytes (1 MiB) whatever the batch
-    # (tracemalloc peaks of a 4096 block: 3.0 kB at r = 30 and 13.7 kB
-    # at r = 70, set by the assembly; this gives 6.3 and 31.6 kB)
-    _check_block(r, min(MC_BLOCK, samples), 32 * r + 112 * r * wr + 32 * m * w)
     pieces = enumerate(spans(0, samples, MC_BLOCK))
     blocks = [(cfg, r, seed, b, hi - lo) for b, (lo, hi) in pieces]
     total = np.zeros(m + 1, dtype=np.int64)

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cnkit import altsim, gf2, numtheory
+from cnkit import _batchrank, altsim, gf2, numtheory
 from cnkit.altsim import (
     ENSEMBLE_LABELS,
     AltConfig,
@@ -323,9 +324,10 @@ def test_batch_path_matches_reference():
         assert list(got) == ref
 
 
-@pytest.mark.parametrize("r", [1, 2, 31, 32, 33, 70])
+@pytest.mark.parametrize("r", [1, 2, 31, 32, 33, 64, 70])
 def test_assemble_block_words_match_build_alt(r):
-    # m = 2r + t crosses one word boundary at r = 31 to 33 and two at r = 70
+    # m = 2r + t crosses one word boundary at r = 31 to 33 and two at r = 70;
+    # at r = 64 the fields at column r start on a word boundary
     for cfg in [ensemble_config(label) for label in ENSEMBLE_LABELS] + custom_configs():
         draws = draw_assignments(cfg, r, _block_rng(r, 3), 6)
         want = pack_rows(np.array([build_alt(cfg, a).tolist() for a in draws], dtype=np.uint8))
@@ -414,25 +416,72 @@ def custom_configs():
 @pytest.mark.parametrize("cfg", custom_configs(), ids=["d_diag=-1", "b=[[0,1],[1,0]]"])
 def test_mc_honours_custom_config(cfg, monkeypatch):
     # the Monte Carlo path ranks exactly the matrices build_alt gives for
-    # the configuration passed in, not those of the stock ensemble
+    # the configuration passed in, not those of the stock ensemble, one
+    # kernel tile at a time: 600 samples in one tile, or in 250 + 250 + 100
     validate_config(cfg)
     r, seed, count = 6, 31, 600
     draws = draw_assignments(cfg, r, _block_rng(seed, 0), count)
     mats = [build_alt(cfg, a) for a in draws]
     want = dict(Counter(gf2.corank(m) for m in mats))
-    ranked = []
-
-    def recording_rank_batch(words):
-        ranked.append(words.copy())
-        return rank_batch(words)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(altsim, "rank_batch", recording_rank_batch)
-        hist = corank_distribution_mc(cfg, r=r, samples=count, seed=seed)
-    assert hist.counts == want
     bits = np.array([m.tolist() for m in mats], dtype=np.uint8)
-    assert len(ranked) == 1 and np.array_equal(ranked[0], pack_rows(bits))
+    for tile, sizes in ((None, [count]), (250, [250, 250, 100])):
+        ranked = []
+
+        def recording_rank_batch(words):
+            ranked.append(words.copy())
+            return rank_batch(words)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(altsim, "rank_batch", recording_rank_batch)
+            if tile is not None:
+                mp.setattr(_batchrank, "TILE_WORDS", tile * (2 * r + cfg.t))
+            hist = corank_distribution_mc(cfg, r=r, samples=count, seed=seed)
+        assert hist.counts == want
+        assert [len(words) for words in ranked] == sizes
+        assert np.array_equal(np.concatenate(ranked), pack_rows(bits))
     assert corank_distribution_mc(cfg, r=r, samples=count, seed=seed, workers=2).counts == want
+
+
+@pytest.mark.parametrize("r", [1, 2, 30, 33, 70])
+def test_mc_sub_block_widths_agree(r, monkeypatch):
+    # a block's histogram does not depend on where it is cut into kernel
+    # tiles: sub-blocks of 1 and of 7 samples (the last one short) give
+    # what the default tile gives, and the scalar path where r <= 7; the
+    # stock ensembles and 7a with d_diag = -1 are the simulate30 benchmark's
+    seed, count = 40 + r, 23
+    for cfg in [ensemble_config(label) for label in ENSEMBLE_LABELS] + custom_configs():
+        m = 2 * r + cfg.t
+        w = (m + 63) // 64
+        hists = {}
+        for width in (1, 7, None):
+            with monkeypatch.context() as mp:
+                if width is not None:
+                    mp.setattr(_batchrank, "TILE_WORDS", width * m * w)
+                hists[width] = corank_distribution_mc(cfg, r, count, seed).counts
+        assert hists[1] == hists[7] == hists[None], (cfg.label, cfg.d_diag)
+        if r <= 7:
+            draws = draw_assignments(cfg, r, _block_rng(seed, 0), count)
+            assert hists[None] == Counter(gf2.corank(build_alt(cfg, a)) for a in draws)
+        with monkeypatch.context() as mp:
+            mp.setattr(altsim, "MC_BLOCK", 12)  # two blocks, one per worker
+            serial = corank_distribution_mc(cfg, r, count, seed)
+            pooled = corank_distribution_mc(cfg, r, count, seed, workers=2)
+        assert list(pooled.counts.items()) == list(serial.counts.items())
+
+
+@pytest.mark.parametrize("r", [30, 70])
+def test_mc_block_peak_under_estimate(r):
+    # the estimate _check_block weighs against MC_BUDGET bounds what a
+    # block really allocates, so the budget fails before memory runs out
+    for cfg in (ensemble_config("5a"), ensemble_config("7a")):
+        altsim._mc_block((cfg, r, 3, 0, 64))  # the cached tables and masks
+        tracemalloc.start()
+        try:
+            altsim._mc_block((cfg, r, 3, 0, altsim.MC_BLOCK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < altsim._mc_block_bytes(r, cfg.t, altsim.MC_BLOCK), (cfg.label, peak)
 
 
 def test_mc_rejects_invalid_config():
@@ -454,7 +503,7 @@ def test_mc_guards_r_before_allocating(monkeypatch):
         with pytest.raises(ValueError, match="r must be positive"):
             draw_assignments(cfg, r, _block_rng(1, 0), 10)
     with pytest.raises(ResourceLimitError):
-        corank_distribution_mc(cfg, r=1000, samples=10 ** 5, seed=1)
+        corank_distribution_mc(cfg, r=2000, samples=10 ** 5, seed=1)
     with pytest.raises(ResourceLimitError):
         draw_assignments(cfg, 3000, _block_rng(1, 0), 4096)
 

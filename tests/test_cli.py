@@ -209,9 +209,12 @@ def test_simulate_guards_r(capsys, monkeypatch):
     monkeypatch.setattr(altsim, "_draw_block", no_draws)
     assert main(["simulate", "--row", "5a", "--r", "0", "--samples", "10"]) == 3
     assert "r must be positive" in capsys.readouterr().err
-    # one 4096-sample block at r = 1000 would take about 66 GB
-    assert main(["simulate", "--row", "5a", "--r", "1000", "--samples", "100000"]) == 2
+    # one 4096-sample block at r = 2000 would take about 2.2 GB
+    assert main(["simulate", "--row", "5a", "--r", "2000", "--samples", "100000"]) == 2
     assert "resource error" in capsys.readouterr().err
+    # a negative seed is refused before a block is drawn, not by numpy
+    assert main(["simulate", "--row", "5a", "--r", "4", "--seed", "-1", "--samples", "10"]) == 3
+    assert "error: seed must be non-negative" in capsys.readouterr().err
 
 
 def test_workers_only_where_read(capsys):
