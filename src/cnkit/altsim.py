@@ -307,11 +307,16 @@ def build_alt(cfg: AltConfig, source: "FactoredInteger | BitAssignment") -> F2Ma
 # --- structural corank offset ---------------------------------------------------
 
 
-def family_members(cfg: AltConfig, count: int, hard_cap: int = 10 ** 7):
-    """The first `count` squarefree members of the ensemble family, ascending."""
+DELTA_SEARCH_BUDGET = 200  # family members `delta` tries
+FAMILY_HARD_CAP = 10 ** 7  # no family member is sought above this n
+
+
+def family_members(cfg: AltConfig, count: int):
+    """The first `count` squarefree members of the ensemble family below
+    `FAMILY_HARD_CAP`, ascending."""
     found = 0
     n = 1
-    while n <= hard_cap and found < count:
+    while n <= FAMILY_HARD_CAP and found < count:
         if cfg.accepts(n):
             f = factor_small(n)
             if f is not None:
@@ -320,14 +325,14 @@ def family_members(cfg: AltConfig, count: int, hard_cap: int = 10 ** 7):
         n += 2
 
 
-def delta(cfg: AltConfig, search_budget: int = 200) -> int:
+def delta(cfg: AltConfig) -> int:
     """Structural corank offset: t + 2 minus the best achievable rank of
     the marked column family (first-block sum, second-block sum, and the
-    t border columns), over a budget of family members."""
+    t border columns), over the first `DELTA_SEARCH_BUDGET` family members."""
     t = cfg.t
     best = -1
     found = 0
-    for f in family_members(cfg, search_budget):
+    for f in family_members(cfg, DELTA_SEARCH_BUDGET):
         found += 1
         m = build_alt(cfg, f)
         r = f.r

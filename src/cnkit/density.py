@@ -59,10 +59,11 @@ __all__ = [
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_ci(count: int, total: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(count: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if total == 0:
         return (0.0, 1.0)
+    z = _Z95
     p = count / total
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom

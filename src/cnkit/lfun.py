@@ -13,8 +13,8 @@ ways:
   test oracle.  The parity function is memoized by integer value, since
   the same divisors recur; g is computed from the restricted twist data
   with `monsky.redei_g_parts` and memoized like the parity (a caller may
-  seed `LCache.gvals`).  The subset products of n are built once and
-  shared by its rows.
+  seed `LCache.gvals`).  The subset products of n are built on each
+  call.
 - for a stack of n with the same prime count r (`divisor_sums_batch`,
   what scans, certification and the identity check use): the same
   literal sums in numpy, over (count, 2^r) arrays of subset products, g
@@ -61,13 +61,11 @@ class LCache:
     Values are keyed by the integer they belong to, so caches can be
     shared across every n of a range.  Single writer per cache; share
     read-only or keep one per worker.  g(d) is read from `gvals` when
-    present there, and otherwise computed and stored in it.  `ctx` holds
-    the divisor context of the last n seen, so the rows of one n share it.
+    present there, and otherwise computed and stored in it.
     """
 
     lvals: dict[int, int] = field(default_factory=dict)
     gvals: dict[int, int] = field(default_factory=dict)
-    ctx: "_Ctx | None" = field(default=None, repr=False, compare=False)
 
 
 class _Ctx:
@@ -77,9 +75,6 @@ class _Ctx:
     __slots__ = ("f", "twist", "prods", "lvals", "gvals")
 
     def __init__(self, f: FactoredInteger, cache: LCache, twist: TwistData | None):
-        # The memo tables, not the cache itself: the cache keeps its last
-        # context, and a reference back would make a cycle that only the
-        # cyclic collector frees.
         self.f = f
         self.twist = twist
         self.lvals = cache.lvals
@@ -133,16 +128,6 @@ class _Ctx:
         return total
 
 
-def _ctx(f: FactoredInteger, cache: LCache, twist: TwistData | None) -> _Ctx:
-    """The divisor context of n, built once per n and kept in the cache."""
-    last = cache.ctx
-    if last is not None and last.f is f:
-        return last
-    ctx = _Ctx(f, cache, twist)
-    cache.ctx = ctx
-    return ctx
-
-
 def lvalue_parity(
     f: FactoredInteger, cache: LCache, twist: TwistData | None = None
 ) -> int:
@@ -152,8 +137,7 @@ def lvalue_parity(
         return 1
     if f.is_even or f.n % 8 != 1:
         return 0
-    ctx = _ctx(f, cache, twist)
-    return ctx.lval((1 << f.r) - 1)
+    return _Ctx(f, cache, twist).lval((1 << f.r) - 1)
 
 
 def _single_sum(ctx: _Ctx, f: FactoredInteger, want_mod: int, modulus: int) -> int:
@@ -225,7 +209,7 @@ def divisor_sum(
         raise ValueError(f"unknown row label {row!r}")
     if f.n % 8 != ROW_RESIDUE[row]:
         raise ValueError(f"row {row} needs n = {ROW_RESIDUE[row]} (mod 8), n={f.n}")
-    ctx = _ctx(f, cache, twist)
+    ctx = _Ctx(f, cache, twist)
     n = f.n
     if row == "1":
         return ctx.lval((1 << f.r) - 1)

@@ -4,9 +4,12 @@ Everything downstream consumes bits produced here: Legendre/Jacobi
 symbols in additive (F2) form, and squarefree integers together with
 their ordered odd prime factors.  Both come n by n (the reference) or in
 bulk as numpy arrays (`factor_squarefree_range`, `legendre_plus_bulk`).
-The bulk symbols are one lookup in a table of quadratic characters
-modulo every odd prime below a power of two, built once per process and
-capped at `QR_TABLE_CAP`.
+One n is factored by trial division (`factor_small`); a range is
+factored a block at a time from the smallest-prime-factor table of a
+`PrimeSieve`, which serves only that bulk pass.  The bulk symbols are
+one lookup in a table of quadratic characters modulo every odd prime
+below a power of two, built once per process and capped at
+`QR_TABLE_CAP`.
 
 Range work is cut one way: `spans` cuts a range into blocks of `BLOCK`
 integers, `map_blocks` maps over them, and `same_r_stacks` factors one
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -41,7 +45,6 @@ __all__ = [
     "QR_TABLE_CAP",
     "is_square_class",
     "factor_small",
-    "is_squarefree_small",
     "enumerate_squarefree",
 ]
 
@@ -62,11 +65,12 @@ DEFAULT_SIEVE_BUDGET = 2 ** 32  # bytes
 
 @dataclass(frozen=True)
 class PrimeSieve:
-    """Smallest-prime-factor table for 2 <= m <= limit.
+    """Smallest-prime-factor table for 2 <= m <= limit, read by the bulk
+    factorization of a range (`factor_squarefree_range`).
 
     spf[m] is the smallest prime factor of m; spf[p] == p exactly for
     primes.  Immutable after construction and safe to share between
-    workers.
+    workers.  `limit` also bounds the n the scalar functions accept.
     """
 
     limit: int
@@ -89,13 +93,15 @@ class FactoredInteger:
         return len(self.odd_primes)
 
 
-def sieve_init(limit: int, max_bytes: int = DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
-    """Build a smallest-prime-factor table usable for O(log m) factorization."""
+def sieve_init(limit: int) -> PrimeSieve:
+    """Build the smallest-prime-factor table for the bulk factorization of
+    ranges up to limit, within `DEFAULT_SIEVE_BUDGET` bytes."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if 4 * (limit + 1) > max_bytes:
+    if 4 * (limit + 1) > DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(
-            f"sieve to {limit} needs {4 * (limit + 1)} bytes, budget is {max_bytes}"
+            f"sieve to {limit} needs {4 * (limit + 1)} bytes, "
+            f"budget is {DEFAULT_SIEVE_BUDGET}"
         )
     # Every m starts as its own factor; each prime p lowers the odd
     # multiples from p^2 on, and smaller primes, struck first, stay.
@@ -108,27 +114,33 @@ def sieve_init(limit: int, max_bytes: int = DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
     return PrimeSieve(limit=limit, spf=spf)
 
 
+def factor_small(n: int) -> FactoredInteger | None:
+    """FactoredInteger for n by trial division, or None when n is not
+    squarefree or n < 1; the one scalar factorization."""
+    if n < 1 or n % 4 == 0:
+        return None
+    is_even = n % 2 == 0
+    m = n // 2 if is_even else n
+    primes = []
+    p = 3
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return None
+            primes.append(p)
+        p += 2
+    if m > 1:
+        primes.append(m)
+    return FactoredInteger(n=n, odd_primes=tuple(primes), is_even=is_even)
+
+
 def try_factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger | None:
-    """FactoredInteger for n, or None when n is not squarefree."""
+    """FactoredInteger for n in [1, sieve.limit] by trial division, or None
+    when n is not squarefree."""
     if n < 1 or n > sieve.limit:
         raise ValueError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    m = n
-    is_even = False
-    if m % 2 == 0:
-        m //= 2
-        if m % 2 == 0:
-            return None
-        is_even = True
-    primes = []
-    spf = sieve.spf
-    while m > 1:
-        p = int(spf[m])
-        m //= p
-        if m % p == 0:
-            return None
-        primes.append(p)
-    primes.sort()
-    return FactoredInteger(n=n, odd_primes=tuple(primes), is_even=is_even)
+    return factor_small(n)
 
 
 def factor_squarefree_range(
@@ -139,8 +151,8 @@ def factor_squarefree_range(
 
     Returns (ns, primes): ns ascending, and row k of the (count, r_max)
     int64 array primes holds the odd primes of ns[k] ascending, zero
-    padded on the right.  The numpy mirror of `try_factor_squarefree`:
-    every n is divided by its smallest prime factor in the same pass.
+    padded on the right.  Every n is divided by its smallest prime factor,
+    read from the sieve, in the same pass.
     """
     if hi - 1 > sieve.limit:
         raise ValueError(f"range end {hi - 1} exceeds sieve limit {sieve.limit}")
@@ -172,6 +184,20 @@ def factor_squarefree_range(
 def spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
     """[lo, hi) cut into consecutive (lo, hi) pairs at most width long."""
     return [(a, min(a + width, hi)) for a in range(lo, hi, width)]
+
+
+def enumerate_squarefree(
+    residue: int, modulus: int, limit: int, sieve: PrimeSieve
+) -> Iterator[FactoredInteger]:
+    """All squarefree n <= limit with n == residue (mod modulus), ascending,
+    factored one `BLOCK` at a time by `factor_squarefree_range`."""
+    if limit > sieve.limit:
+        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
+    for lo, hi in spans(1, limit + 1, BLOCK):
+        ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
+        r = (primes != 0).sum(axis=1)
+        for n, row, k in zip(ns.tolist(), primes.tolist(), r.tolist()):
+            yield FactoredInteger(n, tuple(row[:k]), n % 2 == 0)
 
 
 def same_r_stacks(
@@ -315,17 +341,9 @@ def legendre_plus_bulk(d: np.ndarray, p: np.ndarray) -> np.ndarray:
     return bits[start + rem]
 
 
+@cache
 def _square_classes_mod(mod: int) -> frozenset[int]:
-    return frozenset((x * x) % mod for x in range(1, mod) if _gcd(x, mod) == 1)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-_SQUARES_CACHE: dict[int, frozenset[int]] = {}
+    return frozenset((x * x) % mod for x in range(1, mod) if math.gcd(x, mod) == 1)
 
 
 def is_square_class(a: int, n0: int, D: int) -> bool:
@@ -337,53 +355,8 @@ def is_square_class(a: int, n0: int, D: int) -> bool:
     if D <= 0 or D % 2 == 0:
         raise ValueError(f"D must be odd and positive, got {D}")
     mod = 8 * D
-    if _gcd(a, 2 * D) != 1 or _gcd(n0, 2 * D) != 1:
+    if math.gcd(a, 2 * D) != 1 or math.gcd(n0, 2 * D) != 1:
         raise ValueError(f"arguments must be coprime to 2D: a={a}, n0={n0}, D={D}")
     if (a > 0) != (n0 > 0):
         return False
-    sq = _SQUARES_CACHE.get(mod)
-    if sq is None:
-        sq = _square_classes_mod(mod)
-        _SQUARES_CACHE[mod] = sq
-    return (a * n0) % mod in sq
-
-
-def factor_small(n: int) -> FactoredInteger | None:
-    """FactoredInteger for n by trial division, or None when n is not
-    squarefree; for small n where no sieve is at hand."""
-    if n < 1 or n % 4 == 0:
-        return None
-    is_even = n % 2 == 0
-    m = n // 2 if is_even else n
-    primes = []
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return None
-            primes.append(p)
-        p += 2
-    if m > 1:
-        primes.append(m)
-    return FactoredInteger(n=n, odd_primes=tuple(primes), is_even=is_even)
-
-
-def is_squarefree_small(n: int) -> bool:
-    """Trial-division squarefree test, for small n where no sieve is at hand."""
-    return factor_small(n) is not None
-
-
-def enumerate_squarefree(
-    residue: int, modulus: int, limit: int, sieve: PrimeSieve
-) -> Iterator[FactoredInteger]:
-    """All squarefree n <= limit with n == residue (mod modulus), ascending."""
-    if limit > sieve.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
-    start = residue % modulus
-    if start == 0:
-        start = modulus
-    for n in range(start, limit + 1, modulus):
-        f = try_factor_squarefree(n, sieve)
-        if f is not None:
-            yield f
+    return (a * n0) % mod in _square_classes_mod(mod)

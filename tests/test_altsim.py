@@ -137,10 +137,14 @@ def test_delta_matches_reference_column():
         assert delta(ensemble_config(label)) == d, label
 
 
-def test_delta_stability_under_budget():
+def test_delta_stability_under_budget(monkeypatch):
     for label in ("5a", "7a"):
         cfg = ensemble_config(label)
-        assert delta(cfg, search_budget=50) == delta(cfg, search_budget=400)
+        got = []
+        for budget in (50, 400):
+            monkeypatch.setattr(altsim, "DELTA_SEARCH_BUDGET", budget)
+            got.append(delta(cfg))
+        assert got[0] == got[1], label
 
 
 def test_family_members():

@@ -152,9 +152,9 @@ def test_verify_mismatch_exits_one(sieve_2000, capsys, monkeypatch):
 
 def test_verify_reports_rows_checked(capsys):
     from cnkit.monsky import rows_for_residue
-    from cnkit.numtheory import is_squarefree_small
+    from cnkit.numtheory import factor_small
 
-    squarefree = [n for n in range(1, 2001) if is_squarefree_small(n)]
+    squarefree = [n for n in range(1, 2001) if factor_small(n) is not None]
     rows = sum(len(rows_for_residue(n % 8)) for n in squarefree)
     assert main(["verify", "--max-n", "2000"]) == 0
     err = capsys.readouterr().err

@@ -18,7 +18,6 @@ from cnkit.numtheory import (
     factor_squarefree,
     factor_squarefree_range,
     is_square_class,
-    is_squarefree_small,
     jacobi,
     legendre,
     legendre_plus,
@@ -79,9 +78,11 @@ def test_sieve_matches_trial_division_at_the_square_edges():
         assert spf.tolist() == want, limit
 
 
-def test_sieve_budget():
+def test_sieve_budget(monkeypatch):
+    monkeypatch.setattr(numtheory, "DEFAULT_SIEVE_BUDGET", 1000)
     with pytest.raises(ResourceLimitError):
-        sieve_init(10 ** 6, max_bytes=1000)
+        sieve_init(10 ** 6)
+    assert sieve_init(249).limit == 249  # 4 * 250 bytes, just within
 
 
 def test_factor_squarefree_basic(sieve):
@@ -187,15 +188,17 @@ def test_enumerate_squarefree(sieve):
     assert [f.n for f in enumerate_squarefree(1, 8, 40, sieve)] == [1, 17, 33]
 
 
-def test_is_squarefree_small(sieve):
-    for n in range(1, 3000):
-        assert is_squarefree_small(n) == (try_factor_squarefree(n, sieve) is not None)
-
-
-def test_factor_small(sieve):
-    for n in range(-2, 3000):
-        want = try_factor_squarefree(n, sieve) if n >= 1 else None
-        assert factor_small(n) == want, n
+@pytest.mark.parametrize(
+    "residue,modulus", [(t, 8) for t in range(1, 8)] + [(3, 4), (1, 1)]
+)
+def test_enumerate_squarefree_matches_trial_division(sieve, residue, modulus):
+    # Up to 1e5, past the first BLOCK boundary at 65536.
+    assert sieve.limit > numtheory.BLOCK
+    want = [f for n in range(residue, sieve.limit + 1, modulus) if (f := factor_small(n))]
+    assert list(enumerate_squarefree(residue, modulus, sieve.limit, sieve)) == want
+    # A limit past the sieve fails before the first n.
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        next(enumerate_squarefree(residue, modulus, sieve.limit + 1, sieve))
 
 
 def test_factored_integer_r():
@@ -203,11 +206,12 @@ def test_factored_integer_r():
     assert f.r == 0
 
 
-def _scalar_range(lo, hi, sieve, residue=0, modulus=1):
+def _scalar_range(lo, hi, residue=0, modulus=1):
+    # Trial division: an oracle that shares no code or table with the sieve.
     out = []
-    for n in range(max(lo, 1), hi):
+    for n in range(lo, hi):
         if n % modulus == residue % modulus:
-            f = try_factor_squarefree(n, sieve)
+            f = factor_small(n)
             if f is not None:
                 out.append((n, f.odd_primes))
     return out
@@ -220,9 +224,10 @@ def _bulk_range(lo, hi, sieve, residue=0, modulus=1):
 
 
 def test_factor_squarefree_range_matches_scalar(sieve):
-    # Every n <= 1e5, even and non-squarefree n included.
-    got = _bulk_range(1, sieve.limit + 1, sieve)
-    assert got == _scalar_range(1, sieve.limit + 1, sieve)
+    # Every n <= 1e5, even and non-squarefree n included; n < 1 has no
+    # factorization either way.
+    got = _bulk_range(-2, sieve.limit + 1, sieve)
+    assert got == _scalar_range(-2, sieve.limit + 1)
     assert len(got) == 60794
     ns, primes = factor_squarefree_range(1, sieve.limit + 1, sieve)
     assert primes.shape[1] == max(len(ps) for _, ps in got)
@@ -236,9 +241,7 @@ def test_factor_squarefree_range_matches_scalar(sieve):
     [(1, 100001, 3, 4), (65536, 65540, 3, 4), (-5, 40, 6, 8), (99990, 100001, 1, 2), (10, 10, 0, 1)],
 )
 def test_factor_squarefree_range_slices(sieve, lo, hi, residue, modulus):
-    assert _bulk_range(lo, hi, sieve, residue, modulus) == _scalar_range(
-        lo, hi, sieve, residue, modulus
-    )
+    assert _bulk_range(lo, hi, sieve, residue, modulus) == _scalar_range(lo, hi, residue, modulus)
 
 
 def test_factor_squarefree_range_edges(sieve):
