@@ -814,12 +814,18 @@ def four_rank_batch(primes: np.ndarray) -> np.ndarray:
     """`four_rank` for a stack of odd n = 3 (mod 4) with r primes each.
 
     Row k of the (count, r) array primes holds the odd primes of the k-th
-    n, ascending.  A comes from `monsky.twist_batch`, and all the
+    n, ascending.  n = 3 (mod 4) holds iff the XOR of the columns of
+    (p & 3) == 3 is set in every row, which is checked before any symbol
+    is looked up.  A comes from `monsky.twist_batch`, and all the
     (r-1)-minors are ranked in one `rank_batch` call.
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape
-    if ((primes % 4 == 3).sum(axis=1) % 2 == 0).any():
+    three = (primes & 3) == 3
+    odd = np.zeros(count, dtype=bool)
+    for col in range(r):
+        odd ^= three[:, col]
+    if not odd.all():
         raise ValueError("four_rank_batch needs n = 3 (mod 4)")
     if r < 2:
         return np.zeros(count, dtype=np.int64)

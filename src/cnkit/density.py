@@ -23,6 +23,12 @@ form: a wrong g or a wrong row form shows as an identity mismatch.
 
 The census has no divisor sums: each same-r stack of n = 3 (mod 4), at
 most BLOCK / 4 n, gets its 4-ranks from one `altsim.four_rank_batch` call.
+
+The block pass has no integer division and no sum across a short axis:
+the factorization divides by the sieve's smallest prime factor in exact
+float64, the stacks are slices of one stable sort by r, the twist reads
+p mod 4 and p mod 8 from low bits and XORs its diagonal from A's
+columns, and the 4-rank and Selmer-rank histograms are `np.bincount`s.
 """
 
 from __future__ import annotations
@@ -230,9 +236,7 @@ def _tally(
         rep.certified_count += int(nonzero.sum())
         rep.joint_nonzero += int((nonzero & r3).sum())
     else:
-        ranks, counts = np.unique(form_corank + value, return_counts=True)
-        for rank, count in zip(ranks.tolist(), counts.tolist()):
-            rep.selmer_rank_hist[rank] = rep.selmer_rank_hist.get(rank, 0) + count
+        _add_counts(rep.selmer_rank_hist, form_corank + value)
 
 
 def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> DensityReport:
@@ -304,14 +308,22 @@ def identity_check(
 
 
 def _census_block(args) -> FourRankCensus:
+    """The 4-rank histogram of the squarefree n = 3 (mod 4) in [lo, hi):
+    one `four_rank_batch` call per same-r stack, counted by `np.bincount`."""
     lo, hi = args
     census = FourRankCensus(limit=_SIEVE.limit)
     for ns, stack in same_r_stacks(lo, hi, _SIEVE, residue=3, modulus=4):
         census.total += ns.size
-        ks, counts = np.unique(four_rank_batch(stack), return_counts=True)
-        for k, c in zip(ks.tolist(), counts.tolist()):
-            census.counts[k] = census.counts.get(k, 0) + c
+        _add_counts(census.counts, four_rank_batch(stack))
     return census
+
+
+def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
+    """Add the histogram of the nonnegative ints values to hist, the
+    values seen taken in ascending order."""
+    for k, c in enumerate(np.bincount(values).tolist()):
+        if c:
+            hist[k] = hist.get(k, 0) + c
 
 
 def fourrank_census(limit: int, sieve: PrimeSieve, workers: int = 1) -> FourRankCensus:

@@ -135,23 +135,27 @@ def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Row k of the (count, r) array primes holds the odd primes of the k-th
     n, ascending.  Returns (a, y, z) as 0/1 uint8 arrays of shapes
-    (count, r, r), (count, r) and (count, r).  y and z come from p mod 8,
-    the symbols of A above the diagonal from the quadratic-residue table
-    of `legendre_plus_bulk` (so the smaller prime of each pair must lie
-    below `numtheory.QR_TABLE_CAP`, else ValueError), those below by
-    quadratic reciprocity (A_ij + A_ji = y_i y_j), and the diagonal from
-    the row sums.
+    (count, r, r), (count, r) and (count, r).  y and z come from the low
+    bits of p (p & 3 and p & 7), the symbols of A above the diagonal from
+    the quadratic-residue table of `legendre_plus_bulk` (so the smaller
+    prime of each pair must lie below `numtheory.QR_TABLE_CAP`, else
+    ValueError), those below by quadratic reciprocity
+    (A_ij + A_ji = y_i y_j), and the diagonal as the XOR of A's r columns.
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape
-    y = (primes % 4 == 3).astype(np.uint8)
-    z = ((primes % 8 == 3) | (primes % 8 == 5)).astype(np.uint8)
+    y = ((primes & 3) == 3).view(np.uint8)
+    low = primes & 7
+    z = ((low == 3) | (low == 5)).view(np.uint8)
     i, j, ii = _pair_indices(r)
     upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
     a = np.zeros((count, r, r), dtype=np.uint8)
     a[:, i, j] = upper
     a[:, j, i] = upper ^ (y[:, i] & y[:, j])
-    a[:, ii, ii] = a.sum(axis=2, dtype=np.int64) & 1
+    diag = np.zeros((count, r), dtype=np.uint8)
+    for col in range(r):
+        diag ^= a[:, :, col]
+    a[:, ii, ii] = diag
     return a, y, z
 
 
@@ -222,7 +226,8 @@ def _build_g_table(limit: int, sieve: PrimeSieve) -> np.ndarray:
             a, _, z = twist_batch(primes)
             double = d <= limit // 2
             a2 = a[double] ^ z[double, :, None] * np.eye(rv, dtype=np.uint8)
-            one, three = d % 4 == 1, d % 4 == 3
+            low = d & 3
+            one, three = low == 1, low == 3
             # Slices rather than index 0, which an r = 0 stack lacks.
             a[one, :, :1] = z[one, :, None]
             a[three, :1] = 0

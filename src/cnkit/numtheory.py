@@ -6,14 +6,15 @@ their ordered odd prime factors.  Both come n by n (the reference) or in
 bulk as numpy arrays (`factor_squarefree_range`, `legendre_plus_bulk`).
 One n is factored by trial division (`factor_small`); a range is
 factored a block at a time from the smallest-prime-factor table of a
-`PrimeSieve`, which serves only that bulk pass.  The bulk symbols are
+`PrimeSieve`, which serves only that bulk pass, with bit operations and
+exact float64 quotients instead of integer division.  The bulk symbols are
 one lookup in a table of quadratic characters modulo every odd prime
 below a power of two, built once per process and capped at
 `QR_TABLE_CAP`.
 
 Range work is cut one way: `spans` cuts a range into blocks of `BLOCK`
 integers, `map_blocks` maps over them, and `same_r_stacks` factors one
-block at once and hands it on as one stack per prime count r.
+block at once and hands it on as one stack per prime count r, ascending.
 """
 
 from __future__ import annotations
@@ -151,34 +152,54 @@ def factor_squarefree_range(
 
     Returns (ns, primes): ns ascending, and row k of the (count, r_max)
     int64 array primes holds the odd primes of ns[k] ascending, zero
-    padded on the right.  Every n is divided by its smallest prime factor,
-    read from the sieve, in the same pass.
+    padded on the right.  See `_factor_range` for the pass itself.
+    """
+    ns, primes, _ = _factor_range(lo, hi, sieve, residue, modulus)
+    return ns, primes
+
+
+def _factor_range(
+    lo: int, hi: int, sieve: PrimeSieve, residue: int, modulus: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`factor_squarefree_range`, with the uint8 prime count r of each n.
+
+    The powers of 2 are read from n & 3 and taken out by one shift.  Then
+    every n still being divided loses p = spf[m] in the same pass, with no
+    integer division and no remainder: the quotient q = m / p is a float64
+    division, exact because p divides m and m <= 2**30 < 2**53 under the
+    sieve budget, and spf[q], which the next step reads anyway, equals p
+    exactly when p^2 divides m.  r is counted as the columns are written.
     """
     if hi - 1 > sieve.limit:
         raise ValueError(f"range end {hi - 1} exceeds sieve limit {sieve.limit}")
     lo = max(lo, 1)
     ns = np.arange(lo + (residue - lo) % modulus, hi, modulus, dtype=np.int64)
-    m = np.where(ns % 2 == 0, ns // 2, ns)
-    ok = m % 2 == 1  # n not divisible by 4
-    # idx: the n still being divided; m: what is left of each
+    low = ns & 3
+    ok = low != 0  # n not divisible by 4
+    m = ns >> (low == 2)
+    # idx: the n still being divided; m: what is left of each; p: spf[m]
     idx = np.flatnonzero(ok & (m > 1))
     m = m[idx]
     spf = sieve.spf
+    p = spf[m]
     cols = []
     while idx.size:
-        p = spf[m]
-        m //= p
-        bad = m % p == 0
+        q = (m / p).astype(np.int64)
+        spf_q = spf[q]
+        bad = spf_q == p
         ok[idx[bad]] = False
         cols.append((idx, p))
-        more = (m > 1) & ~bad
-        idx, m = idx[more], m[more]
+        more = np.flatnonzero((q > 1) & ~bad)
+        idx, m, p = idx[more], q[more], spf_q[more]
     primes = np.zeros((ns.size, len(cols)), dtype=np.int64)
+    r = np.zeros(ns.size, dtype=np.uint8)
     for j, (idx, p) in enumerate(cols):
         primes[idx, j] = p
-    primes = primes[ok]
-    r_max = int((primes != 0).sum(axis=1).max(initial=0))
-    return ns[ok], primes[:, :r_max]
+        r[idx] = j + 1
+    keep = np.flatnonzero(ok)
+    r = r[keep]
+    r_max = int(r.max(initial=0))
+    return ns[keep], primes[keep, :r_max], r
 
 
 def spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
@@ -194,8 +215,7 @@ def enumerate_squarefree(
     if limit > sieve.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     for lo, hi in spans(1, limit + 1, BLOCK):
-        ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
-        r = (primes != 0).sum(axis=1)
+        ns, primes, r = _factor_range(lo, hi, sieve, residue, modulus)
         for n, row, k in zip(ns.tolist(), primes.tolist(), r.tolist()):
             yield FactoredInteger(n, tuple(row[:k]), n % 2 == 0)
 
@@ -205,13 +225,17 @@ def same_r_stacks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The squarefree n in [lo, hi) with n = residue (mod modulus), as
     same-r stacks: [lo, hi) is factored at once, and for each prime count
-    r in turn this yields (ns, primes), ns ascending and primes their
-    (count, r) array of odd primes."""
-    ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
-    r = (primes != 0).sum(axis=1)
-    for rv in np.unique(r).tolist():
-        pick = r == rv
-        yield ns[pick], primes[pick, :rv]
+    r in ascending order this yields (ns, primes), ns ascending and primes
+    their (count, r) array of odd primes.  One stable sort of the counts
+    groups the n; each stack is a slice of the sorted arrays."""
+    ns, primes, r = _factor_range(lo, hi, sieve, residue, modulus)
+    order = np.argsort(r, kind="stable")
+    ns, primes = ns[order], primes[order]
+    end = 0
+    for rv, count in enumerate(np.bincount(r).tolist()):
+        if count:
+            start, end = end, end + count
+            yield ns[start:end], primes[start:end, :rv]
 
 
 # Imported by the first pool run of `map_blocks`, so that importing cnkit

@@ -587,6 +587,16 @@ def test_four_rank_batch_rejects_pairs_above_the_table_cap(monkeypatch):
     assert four_rank_batch(np.array([f.odd_primes])).tolist() == [four_rank(f)]
 
 
+
+@pytest.mark.parametrize("primes", [np.zeros((2, 0), np.int64), [[3, 7, 11], [3, 5, 7]]])
+def test_four_rank_batch_rejects_n_1_mod_4_before_any_table(monkeypatch, primes):
+    # n = 1 at r = 0, and 105 = 1 (mod 4) beside 231 = 3 (mod 4) at r = 3.
+    empty = (0, np.empty(0, np.int64), np.empty(0, np.uint8))
+    monkeypatch.setattr(numtheory, "_QR_TABLE", empty)
+    with pytest.raises(ValueError, match=r"n = 3 \(mod 4\)"):
+        four_rank_batch(np.array(primes))
+    assert numtheory._QR_TABLE is empty
+
 def test_four_rank_index_independence(sieve):
     from cnkit.monsky import build_twist
 

@@ -127,6 +127,10 @@ def test_scan_selmer_histogram(sieve):
     assert set(rep.selmer_rank_hist) <= {2, 4, 6, 8, 10}
     rep3 = scan(3, 10 ** 4, sieve)
     assert set(rep3.selmer_rank_hist) <= {2, 4, 6, 8, 10}
+    # One block: the ranks seen are inserted in ascending order, as
+    # np.unique would list them.
+    for hist in (rep.selmer_rank_hist, rep3.selmer_rank_hist):
+        assert list(hist) == sorted(hist) and 0 not in hist.values()
 
 
 def test_scan_worker_independence(sieve):
@@ -161,6 +165,7 @@ def test_census_small(sieve):
         direct[k] = direct.get(k, 0) + 1
     assert census.total == total
     assert census.counts == direct
+    assert list(census.counts) == sorted(direct)  # one block, ascending
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 65536, 65537, 65539])
@@ -276,13 +281,13 @@ def test_one_factorization_per_block(sieve, monkeypatch, cold_g_table):
     import cnkit.numtheory as numtheory
 
     calls = []
-    factor = numtheory.factor_squarefree_range
+    factor = numtheory._factor_range  # the pass behind factor_squarefree_range
 
     def counting(*args):
         calls.append(args)
         return factor(*args)
 
-    monkeypatch.setattr(numtheory, "factor_squarefree_range", counting)
+    monkeypatch.setattr(numtheory, "_factor_range", counting)
     limit = sieve.limit
     blocks = -(-limit // density.BLOCK)
     for run in (

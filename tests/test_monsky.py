@@ -367,6 +367,18 @@ def test_twist_batch_matches_build_twist_to_1e5(sieve):
             assert z[k].tolist() == tw.z.tolist(), tw.f.n
 
 
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_twist_batch_small_r(r):
+    # r = 0 (n = 1, 2) has empty forms; r = 1 has no pair and a zero diagonal.
+    primes = np.array([[3], [5], [7], [11]])[:, :r]
+    a, y, z = twist_batch(primes)
+    assert a.shape == (4, r, r) and y.shape == z.shape == (4, r)
+    assert a.dtype == y.dtype == z.dtype == np.uint8
+    assert not a.any()
+    if r:
+        assert y[:, 0].tolist() == [1, 0, 1, 1] and z[:, 0].tolist() == [1, 1, 0, 1]
+
 # The builder itself, out of reach of the `cold_g_table` counting patch.
 _fresh_g_table = monsky._build_g_table
 

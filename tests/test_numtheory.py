@@ -35,6 +35,11 @@ def sieve():
     return sieve_init(10 ** 5)
 
 
+@pytest.fixture(scope="module")
+def big_sieve():
+    return sieve_init(10 ** 7)  # about 40 MB
+
+
 def test_sieve_small_table():
     s = sieve_init(10)
     assert {m: int(s.spf[m]) for m in range(2, 11)} == {
@@ -316,18 +321,32 @@ def test_qr_table_cap_covers_the_largest_default_sieve():
     assert QR_TABLE_CAP ** 2 >= DEFAULT_SIEVE_BUDGET // 4 == 2 ** 30
 
 
-@pytest.mark.parametrize("residue,modulus", [(0, 1), (3, 4), (6, 8)])
+@pytest.mark.parametrize("residue,modulus", [(0, 1), (3, 4), (5, 8), (6, 8), (7, 8)])
 def test_same_r_stacks_regroup_the_range(sieve, residue, modulus):
-    ns, primes = factor_squarefree_range(5, 20_000, sieve, residue, modulus)
+    # [lo, hi) crosses the edge of the first BLOCK.
+    lo, hi = 50_000, 80_000
+    assert lo < numtheory.BLOCK < hi
+    ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
     want = {n: tuple(p for p in row if p) for n, row in zip(ns.tolist(), primes.tolist())}
+    assert min(want) < numtheory.BLOCK < max(want)
     got, rs = {}, []
-    for stack_ns, stack in same_r_stacks(5, 20_000, sieve, residue, modulus):
+    for stack_ns, stack in same_r_stacks(lo, hi, sieve, residue, modulus):
         assert stack.shape[0] == stack_ns.size > 0 and (stack != 0).all()
         assert (stack_ns[1:] > stack_ns[:-1]).all()
         got.update(zip(stack_ns.tolist(), map(tuple, stack.tolist())))
         rs.append(stack.shape[1])
     assert got == want
-    assert len(rs) == len(set(rs))  # one stack per r
+    assert rs == sorted(set(rs))  # one stack per r, in ascending r
+
+
+@pytest.mark.parametrize("residue,modulus", [(3, 4), (5, 8), (1, 1)])
+def test_factor_squarefree_range_near_1e7(big_sieve, residue, modulus):
+    # m up to 1e7 - 1: the quotients m / p are taken in float64.
+    hi = big_sieve.limit + 1
+    for lo in (hi - 3000, hi - 65_536 - 1000):
+        want = _scalar_range(lo, lo + 3000, residue, modulus)
+        assert _bulk_range(lo, lo + 3000, big_sieve, residue, modulus) == want
+        assert max(len(ps) for _, ps in want) >= 4
 
 
 def test_map_blocks_order_and_initializer():
