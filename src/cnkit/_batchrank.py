@@ -1,26 +1,33 @@
-"""Batched GF(2) rank of many small matrices, packed into uint64 words.
+"""Batched GF(2) rank of many small matrices, packed into row words.
 
-The Monte Carlo path ranks thousands of matrices of one shape at once.
+A matrix of m columns is held as row words of the narrowest unsigned
+dtype that takes a row, `row_dtype(m)`: one uint8, uint16 or uint32 word
+per row when m <= 8, 16 or 32, else ceil(m/64) uint64 words.  The scan's
+forms (m = 2r + 2 <= 16 below 1e8) and the census minors thus take one
+small word per row; the Monte Carlo matrices (m = 61 at r = 30) take
+uint64 words.
+
 `rank_batch` eliminates row by row over an (n, w, tile) copy of the
 word array, so that one row of every matrix is one contiguous slab:
 row k takes its lowest set bit (in its first nonzero word) as pivot and
 is XORed into every later row holding that bit.  No later row then
 holds a pivot bit of an earlier row, so the rows left nonzero are
-independent and their number is the rank.  `gf2.rank` is the scalar
-reference it is tested against.
+independent and their number is the rank.  The same kernel serves every
+word dtype.  `gf2.rank` is the scalar reference it is tested against.
 
-The batch is ranked in tiles of `tile_matrices(n, w)` matrices, at most
-`TILE_WORDS` words, each with its own copy and one scratch array of the
-same shape, so that every pass over the rows below a pivot stays in L2
-and allocates nothing.  The tile is also the Monte Carlo sub-block:
-`altsim` assembles one tile of matrices at a time and ranks it in one
-call.
+The batch is ranked in tiles of `tile_matrices(n, row_bytes)` matrices,
+at most `TILE_BYTES` bytes, each with its own copy and one scratch array
+of the same shape, so that every pass over the rows below a pivot stays
+in L2 and allocates nothing.  The tile is also the Monte Carlo
+sub-block: `altsim` assembles one tile of matrices at a time and ranks
+it in one call.
 Row k takes three in-place passes, about n^2/2 row passes in all, with
 no Python loop over matrices: hit = below & low (0 or the pivot bit),
 hit scaled to 0 or the pivot row, below ^= hit.  For w = 1 the pivot
 bit is 2^tz, so hit * (piv >> tz) is exactly 0 or piv; for w > 1 hit
 is first OR-reduced over the words and shifted down to 0 or 1.  A zero
-pivot row has no low bit, so its hit is 0 (and its shift of 64 harmless).
+pivot row has no low bit, so its hit is 0 (and its shift by the full
+word width harmless).
 
 There is no Method of Four Russians step: at w = 1 a row is one word,
 and a table lookup costs as many numpy passes as the XORs it saves."""
@@ -29,36 +36,48 @@ from __future__ import annotations
 
 import numpy as np
 
-# Words per tile: one tile's copy and its scratch array take 2 * 8 *
-# TILE_WORDS bytes, which stays in a core's L2 cache.
-TILE_WORDS = 1 << 16
+# Bytes per tile: one tile's copy and its scratch array take 2 *
+# TILE_BYTES bytes, which stays in a core's L2 cache.
+TILE_BYTES = 1 << 19
+
+_NARROW = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
+
+
+def row_dtype(m: int) -> np.dtype:
+    """The word dtype of a row of m bits: the narrowest of uint8, uint16
+    and uint32 that holds m bits, else uint64."""
+    for dtype in _NARROW:
+        if m <= 8 * dtype.itemsize:
+            return dtype
+    return np.dtype(np.uint64)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (..., m) 0/1 uint8 array into (..., ceil(m/64)) uint64 words,
-    bit j of a row in bit j % 64 of word j // 64."""
+    """Pack a (..., m) 0/1 uint8 array into (..., w) words of `row_dtype(m)`,
+    bit j of a row in bit j % b of word j // b, for words of b bits."""
     lead, m = bits.shape[:-1], bits.shape[-1]
-    nbytes = (m + 7) // 8
-    # Rows widened to whole bytes pack as one flat run, for short rows
-    # several times faster than np.packbits row by row; the bytes are
-    # then widened to whole words.
-    aligned = np.zeros(lead + (8 * nbytes,), dtype=np.uint8)
+    dtype = row_dtype(m)
+    b = 8 * dtype.itemsize
+    width = b * ((m + b - 1) // b)
+    # Rows widened to whole words pack as one flat run, for short rows
+    # several times faster than np.packbits row by row.
+    aligned = np.zeros(lead + (width,), dtype=np.uint8)
     aligned[..., :m] = bits
-    packed = np.packbits(aligned, bitorder="little").reshape(lead + (nbytes,))
-    words = np.zeros(lead + (8 * ((m + 63) // 64),), dtype=np.uint8)
-    words[..., :nbytes] = packed
-    return words.view(np.uint64)
+    packed = np.packbits(aligned, bitorder="little").reshape(lead + (width // 8,))
+    return packed.view(dtype)
 
 
-def tile_matrices(n: int, w: int) -> int:
-    """Matrices of n rows of w words in one tile: TILE_WORDS words, or one matrix."""
-    return max(1, TILE_WORDS // max(1, n * w))
+def tile_matrices(n: int, row_bytes: int) -> int:
+    """Matrices of n rows of row_bytes bytes in one tile: TILE_BYTES
+    bytes, or one matrix."""
+    return max(1, TILE_BYTES // max(1, n * row_bytes))
 
 
 def rank_batch(mats: np.ndarray) -> np.ndarray:
-    """GF(2) ranks of a (batch, n, w) uint64 word array; the input is not modified."""
+    """GF(2) ranks of a (batch, n, w) array of unsigned row words; the
+    input is not modified."""
     batch, n, w = mats.shape
-    tile = tile_matrices(n, w)
+    tile = tile_matrices(n, w * mats.itemsize)
     ranks = np.empty(batch, dtype=np.intp)
     for lo in range(0, batch, tile):
         rows = mats[lo : lo + tile].transpose(1, 2, 0).copy()
@@ -69,9 +88,9 @@ def rank_batch(mats: np.ndarray) -> np.ndarray:
 
 def _eliminate(rows: np.ndarray, buf: np.ndarray) -> None:
     """Row-pivot elimination of an (n, w, tile) word array in place, with
-    buf a scratch array of the same shape."""
+    buf a scratch array of the same shape and dtype."""
     n, w = rows.shape[:2]
-    one = np.uint64(1)
+    one = rows.dtype.type(1)
     for k in range(n - 1):
         piv, below = rows[k], rows[k + 1 :]
         hit = buf[: n - k - 1]

@@ -32,7 +32,7 @@ from math import gcd, inf, isqrt
 import numpy as np
 
 from . import gf2
-from ._batchrank import pack_rows, rank_batch, tile_matrices
+from ._batchrank import pack_rows, rank_batch, row_dtype, tile_matrices
 from .classgroup import ClassGroupInfo, classgroup_oracle
 from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
@@ -533,13 +533,12 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 @cache
 def _row_masks(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row words (r, wr) of the bits above the diagonal, below it and on
-    it: row i holds the bits j > i, j < i and j = i.  The result is
-    shared, so the arrays are read-only."""
+    it: row i holds the bits j > i, j < i and j = i, in the uint64 words
+    of the draw.  The result is shared, so the arrays are read-only."""
     ones = np.ones((r, r), dtype=np.uint8)
-    masks = (
-        pack_rows(np.triu(ones, 1)),
-        pack_rows(np.tril(ones, -1)),
-        pack_rows(np.eye(r, dtype=np.uint8)),
+    masks = tuple(
+        pack_rows(bits).astype(np.uint64)
+        for bits in (np.triu(ones, 1), np.tril(ones, -1), np.eye(r, dtype=np.uint8))
     )
     for mask in masks:
         mask.flags.writeable = False
@@ -626,17 +625,15 @@ def _or_at(rows: np.ndarray, field: np.ndarray, off: int) -> None:
 
 # The masked swap stages of a 64 x 64 bit transpose, widest first: stage
 # s swaps the bits j + s of row k with the bits j of row k + s, for every
-# j and k with bit s clear (the bits j that the mask keeps).
-_SWAP_STAGES = tuple(
-    (np.uint64(s), np.uint64(mask))
-    for s, mask in (
-        (32, 0x00000000FFFFFFFF),
-        (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333),
-        (1, 0x5555555555555555),
-    )
+# j and k with bit s clear (the bits j that the mask keeps).  A narrower
+# transpose runs the stages below its width, on the masks' low bits.
+_SWAP_STAGES = (
+    (32, 0x00000000FFFFFFFF),
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
 )
 
 
@@ -646,33 +643,37 @@ def _transpose_words(words: np.ndarray) -> np.ndarray:
 
     The rows are padded to b, a power of two (64 once r > 64), and cut
     into b x b blocks held as a (row block, row, word, sample) array, the
-    samples innermost.  The log2(b) masked swap stages transpose every
-    block in place, and block (p, q) of the result is block (q, p)."""
+    samples innermost, in words of `row_dtype(b)` (uint32 at b = 32).
+    The log2(b) masked swap stages transpose every block in place, and
+    block (p, q) of the result is block (q, p)."""
     count, r, wr = words.shape
     b = 64 if wr > 1 else 1 << (r - 1).bit_length()
-    x = np.zeros((wr * b, wr, count), dtype=np.uint64)
+    dtype = row_dtype(b)
+    x = np.zeros((wr * b, wr, count), dtype=dtype)
     x[:r] = words.transpose(1, 2, 0)
-    t = np.empty((wr * b // 2, wr, count), dtype=np.uint64)
+    t = np.empty((wr * b // 2, wr, count), dtype=dtype)
     for s, mask in _SWAP_STAGES:
         if s >= b:
             continue
-        pairs = x.reshape(wr, b // (2 * int(s)), 2, int(s), wr, count)
+        pairs = x.reshape(wr, b // (2 * s), 2, s, wr, count)
         lo, hi = pairs[:, :, 0], pairs[:, :, 1]
         t = t.reshape(lo.shape)
-        np.right_shift(lo, s, out=t)
+        shift, keep = dtype.type(s), dtype.type(mask & np.iinfo(dtype).max)
+        np.right_shift(lo, shift, out=t)
         t ^= hi
-        t &= mask
+        t &= keep
         hi ^= t
-        t <<= s
+        t <<= shift
         lo ^= t
     blocks = x.reshape(wr, b, wr, count).transpose(2, 1, 0, 3)
-    return blocks.reshape(wr * b, wr, count)[:r].transpose(2, 0, 1)
+    rows = blocks.reshape(wr * b, wr, count)[:r]
+    return rows.astype(np.uint64, copy=False).transpose(2, 0, 1)
 
 
 def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The matrices of a block of assignments as (count, m, w) uint64
     words ready for rank_batch, the words `pack_rows(build_alt(...))`
-    would give.
+    would give, widened to uint64 where m <= 32.
 
     upper is U in the row words of `_draw_block`, with no bit at or below
     the diagonal.  The words are built as a (row, word, sample) array,
@@ -731,7 +732,7 @@ def _assemble_block(cfg: AltConfig, cls: np.ndarray, upper: np.ndarray) -> np.nd
         _or_at(bot[i : i + 1], word[d2][None], r)
     if cfg.b is not None:
         seed_rows = np.array(cfg.b.tolist(), dtype=np.uint8).reshape(cfg.t, cfg.t)
-        _or_at(bot, pack_rows(seed_rows)[:, :, None], 2 * r)
+        _or_at(bot, pack_rows(seed_rows).astype(np.uint64)[:, :, None], 2 * r)
     return words.transpose(2, 0, 1)
 
 
@@ -740,7 +741,7 @@ def _mc_block_bytes(r: int, t: int, count: int) -> int:
 
     Per sample of the block: the class indices, with the draw's copy of
     them, and U (16 r + 8 r wr).  Per sample of one sub-block, at most
-    `tile_matrices(m, w)` samples: the word matrix with the kernel's tile
+    `tile_matrices(m, 8 w)` samples: the word matrix with the kernel's tile
     copy and scratch array (24 m w), and the assembly's r-row word arrays,
     the transpose's padded copies among them (under 64 r wr).  The
     tracemalloc peaks of a 4096 block are 0.93 kB per sample at r = 30 and
@@ -748,7 +749,7 @@ def _mc_block_bytes(r: int, t: int, count: int) -> int:
     """
     m = 2 * r + t
     w, wr = (m + 63) // 64, (r + 63) // 64
-    sub = min(count, tile_matrices(m, w))
+    sub = min(count, tile_matrices(m, 8 * w))
     return count * (16 * r + 8 * r * wr) + sub * (24 * m * w + 64 * r * wr)
 
 
@@ -758,7 +759,7 @@ def _mc_block(args) -> np.ndarray:
     cls, upper = _draw_block(cfg, r, rng, count)
     m = 2 * r + cfg.t
     counts = np.zeros(m + 1, dtype=np.int64)
-    for lo, hi in spans(0, count, tile_matrices(m, (m + 63) // 64)):
+    for lo, hi in spans(0, count, tile_matrices(m, 8 * ((m + 63) // 64))):
         ranks = rank_batch(_assemble_block(cfg, cls[lo:hi], upper[lo:hi]))
         counts += np.bincount(m - ranks, minlength=m + 1)
     return counts
@@ -817,7 +818,8 @@ def four_rank_batch(primes: np.ndarray) -> np.ndarray:
     n, ascending.  n = 3 (mod 4) holds iff the XOR of the columns of
     (p & 3) == 3 is set in every row, which is checked before any symbol
     is looked up.  A comes from `monsky.twist_batch`, and all the
-    (r-1)-minors are ranked in one `rank_batch` call.
+    (r-1)-minors are ranked in one `rank_batch` call, one narrow word a
+    row (uint8 up to r = 9).
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape

@@ -15,14 +15,18 @@ as one stack per prime count r (`numtheory.same_r_stacks`), at most
 BLOCK / 8 n.  A stack gets its divisor sums from
 `lfun.divisor_sums_batch` (cut to `lfun.PAIR_BUDGET` pairs) and its
 determinant forms from one `monsky.twist_batch` and one
-`monsky.form_coranks` call: every row form and the Selmer form for a
-scan, the Selmer form of the certified n for `certified_table` (the row
-is the first nonzero sum), and every row form for `identity_check`,
-which records each (n, row) whose two columns differ.  The columns share the factorization and the symbols but no
-form: a wrong g or a wrong row form shows as an identity mismatch.
+`monsky.form_coranks` call, which builds the forms straight into row
+words (one uint8, uint16 or uint32 word a row, by the form's width) and
+ranks them together: every row form and the Selmer form for a scan, the
+Selmer form of the certified n for `certified_table` (the row is the
+first nonzero sum), and every row form for `identity_check`, which
+records each (n, row) whose two columns differ.  The columns share the
+factorization and the symbols but no form: a wrong g or a wrong row form
+shows as an identity mismatch.
 
 The census has no divisor sums: each same-r stack of n = 3 (mod 4), at
-most BLOCK / 4 n, gets its 4-ranks from one `altsim.four_rank_batch` call.
+most BLOCK / 4 n, gets its 4-ranks from one `altsim.four_rank_batch`
+call, its (r-1)-minors packed as uint8 row words (up to r = 9).
 
 The block pass has no integer division and no sum across a short axis:
 the factorization divides by the sieve's smallest prime factor in exact

@@ -13,12 +13,13 @@ of same-r n as uint8 arrays, the symbols of A looked up in the
 quadratic-residue table of `numtheory.legendre_plus_bulk`;
 `redei_g_table` tabulates g(d) for every squarefree d up to a limit once
 per process, factoring only odd d and ranking the forms of d and 2d
-together, and holds the largest table (a limit + 1-byte read-only array)
-until exit; and the eight row forms are data, one entry each of the
-`_ROW_FORMS` border table, from which `row_matrix_batch` assembles a
-form for a stack of same-r twists as a (count, m, m) bit array and
-`form_coranks` ranks several forms of such a stack with one `rank_batch`
-call.
+together from A's row words, and holds the largest table (a limit +
+1-byte read-only array) until exit; and the eight row forms are data,
+one entry each of the `_ROW_FORMS` border table, from which
+`form_coranks` builds several forms of a stack of same-r twists straight
+into row words of the narrowest dtype that holds a row (A and A^T packed
+once, y, z and y + z taken as bits and as words; no m x m bit array) and
+ranks them with one `rank_batch` call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2
-from ._batchrank import pack_rows, rank_batch
+from ._batchrank import pack_rows, rank_batch, row_dtype
 from .gf2 import F2Matrix, F2Vector
 from .numtheory import (
     BLOCK,
@@ -57,7 +58,6 @@ __all__ = [
     "row_matrix",
     "row_matrix_parts",
     "row_det",
-    "row_matrix_batch",
     "form_coranks",
     "recursion_q",
     "det_recursion_rhs",
@@ -213,27 +213,29 @@ def _build_g_table(limit: int, sieve: PrimeSieve) -> np.ndarray:
     factored, once per block of `BLOCK` integers, and cut into same-r
     stacks with `numtheory.same_r_stacks`; the r x r forms of
     `redei_g_parts` of a stack's d, and of 2d wherever 2d <= limit, are
-    ranked by `rank_batch`: A with its first column replaced by z for
-    d = 1 (mod 4) (a column permutation of [A without column 1 | z]),
-    A with its first row and column replaced by those of the identity
-    for d = 3 (mod 4), and A + D_z for 2d.  g = 1 iff the form has full
-    rank, as the 0 x 0 forms of d = 1 and 2 do.
+    built from A's row words and ranked by `rank_batch`: A with bit 0 of
+    row i replaced by z_i for d = 1 (mod 4) (a column permutation of
+    [A without column 1 | z]), A with bit 0 cleared and row 0 set to 1
+    for d = 3 (mod 4) (det of the minor without row and column 1), and
+    A + D_z, bit i of row i flipped by z_i, for 2d.  g = 1 iff the form
+    has full rank, as the 0 x 0 forms of d = 1 and 2 do.
     """
     table = np.zeros(max(limit, 0) + 1, dtype=np.uint8)
     for lo, hi in spans(1, limit + 1, BLOCK):
         for d, primes in same_r_stacks(lo, hi, sieve, 1, 2):
             rv = primes.shape[1]
             a, _, z = twist_batch(primes)
+            rows = pack_rows(a)  # (count, r, 1) words, (count, 0, 0) at r = 0
+            one = rows.dtype.type(1)
+            diag = np.left_shift(one, np.arange(rv, dtype=rows.dtype))[:, None]
             double = d <= limit // 2
-            a2 = a[double] ^ z[double, :, None] * np.eye(rv, dtype=np.uint8)
+            twice = rows[double] ^ z[double, :, None] * diag
             low = d & 3
-            one, three = low == 1, low == 3
-            # Slices rather than index 0, which an r = 0 stack lacks.
-            a[one, :, :1] = z[one, :, None]
-            a[three, :1] = 0
-            a[three, :, :1] = np.eye(rv, 1, dtype=np.uint8)
-            table[d] = rank_batch(pack_rows(a)) == rv
-            table[2 * d[double]] = rank_batch(pack_rows(a2)) == rv
+            rows &= ~one
+            rows |= z[:, :, None] * (low == 1)[:, None, None]
+            rows[low == 3, :1] = one  # a slice: an r = 0 stack has no row 0
+            table[d] = rank_batch(rows) == rv
+            table[2 * d[double]] = rank_batch(twice) == rv
     table.flags.writeable = False
     return table
 
@@ -335,35 +337,50 @@ def _form_size(row: str, r: int) -> int:
     return 2 * r + len(_ROW_FORMS[row][1])
 
 
-def _fill_form(out: np.ndarray, row: str, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
-    """Write the bits of form `row` into the top-left corner of the
-    (count, M, M) array out, which must hold zeros there."""
-    diag, borders = _ROW_FORMS[row]
-    r = y.shape[1]
-    i = np.arange(r)
-    at = a.transpose(0, 2, 1)
-    vec = {"y": y, "u": y ^ z, "0": 0}
-    out[:, :r, :r] = a ^ at
-    out[:, i, i] = vec[diag]
-    out[:, :r, r : 2 * r] = at
-    out[:, r : 2 * r, :r] = a
-    out[:, r + i, r + i] = z
-    for c, pair in enumerate(borders, 2 * r):
-        for lo, name in zip((0, r), pair):
-            out[:, lo : lo + r, c] = out[:, c, lo : lo + r] = vec[name]
+def _words(bits: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The (..., r) 0/1 array bits, r <= 64, as (...) words of dtype,
+    bit j of a word from bits[..., j]: the one word of `pack_rows`, or
+    none at r = 0, ORed together."""
+    return np.bitwise_or.reduce(pack_rows(bits), axis=-1).astype(dtype)
 
 
-def row_matrix_batch(row: str, a: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Bits of `row_matrix_parts` for a stack of same-r triples.
+def _form_words(
+    labels: Sequence[str], a: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """The forms `labels` of a stack of same-r triples as (len(labels),
+    count, m) row words of `row_dtype(m)`, m the largest form size, each
+    form padded to m by an identity block.
 
-    a is a (count, r, r) and y, z are (count, r) 0/1 uint8 arrays; the
-    result is (count, m, m) with entry [k, i, j] the (i, j) entry of the
-    k-th form, filled from the row's entry of the `_ROW_FORMS` table.
+    Row i < r is B + D_diag beside A^T, row r + i is A beside D_z, and
+    each border column c adds bit c to the rows of its (top, bottom)
+    pair and a row of its own, the top vector beside the bottom one; B =
+    A + A^T is taken from A's words as given, reciprocity or not.  Forms
+    of r > 31 (m > 64) raise ValueError; an n that int64 holds has at
+    most 14 odd primes.
     """
     count, r = y.shape
-    m = _form_size(row, r)
-    out = np.zeros((count, m, m), dtype=np.uint8)
-    _fill_form(out, row, a, y, z)
+    sizes = [_form_size(label, r) for label in labels]
+    m = max(sizes)
+    if m > 64:
+        raise ValueError(f"forms wider than 64 columns are not supported (r = {r})")
+    dtype = row_dtype(m)
+    bit = np.left_shift(dtype.type(1), np.arange(m, dtype=dtype))
+    aw, tw = _words(a, dtype), _words(a.transpose(0, 2, 1), dtype)
+    vec = {"y": y, "u": y ^ z}
+    words = {"0": 0, **{name: _words(v, dtype) for name, v in vec.items()}}
+    top = (aw ^ tw) | (tw << r)
+    mid = aw | z * bit[r : 2 * r]
+    out = np.empty((len(labels), count, m), dtype=dtype)
+    for form, label, s in zip(out, labels, sizes):
+        diag, borders = _ROW_FORMS[label]
+        form[:, :r] = top if diag == "0" else top | vec[diag] * bit[:r]
+        form[:, r : 2 * r] = mid
+        for c, pair in enumerate(borders, 2 * r):
+            for rows, name in zip((form[:, :r], form[:, r : 2 * r]), pair):
+                if name != "0":
+                    rows |= vec[name] * bit[c]
+            form[:, c] = words[pair[0]] | words[pair[1]] << r
+        form[:, s:] = bit[s:]
     return out
 
 
@@ -373,20 +390,16 @@ def form_coranks(
     """Coranks of the forms `labels` for a stack of same-r twists.
 
     a, y and z are the (count, r, r), (count, r) and (count, r) 0/1 uint8
-    arrays of `twist_batch`.  Every form is padded to the largest size m
-    by an identity block, which adds to the rank and leaves the corank
-    alone, so all of them are ranked in one `rank_batch` call.  Returns a
-    (len(labels), count) array; corank 0 means determinant 1.
+    arrays of `twist_batch`.  Every form is built straight into row words
+    by `_form_words`, padded to the largest size m by an identity block,
+    which adds to the rank and leaves the corank alone, so all of them
+    are ranked in one `rank_batch` call.  Returns a (len(labels), count)
+    array; corank 0 means determinant 1.
     """
-    count, r = y.shape
-    sizes = [_form_size(label, r) for label in labels]
-    m = max(sizes)
-    forms = np.zeros((len(labels), count, m, m), dtype=np.uint8)
-    for form, label, s in zip(forms, labels, sizes):
-        _fill_form(form, label, a, y, z)
-        form[:, range(s, m), range(s, m)] = 1
-    ranks = rank_batch(pack_rows(forms.reshape(len(labels) * count, m, m)))
-    return m - ranks.reshape(len(labels), count)
+    words = _form_words(labels, a, y, z)
+    n_forms, count, m = words.shape
+    ranks = rank_batch(words.reshape(n_forms * count, m, 1))
+    return m - ranks.reshape(n_forms, count)
 
 
 # --- auxiliary block matrices -------------------------------------------------

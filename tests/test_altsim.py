@@ -438,7 +438,7 @@ def test_mc_honours_custom_config(cfg, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(altsim, "rank_batch", recording_rank_batch)
             if tile is not None:
-                mp.setattr(_batchrank, "TILE_WORDS", tile * (2 * r + cfg.t))
+                mp.setattr(_batchrank, "TILE_BYTES", tile * 8 * (2 * r + cfg.t))
             hist = corank_distribution_mc(cfg, r=r, samples=count, seed=seed)
         assert hist.counts == want
         assert [len(words) for words in ranked] == sizes
@@ -460,7 +460,7 @@ def test_mc_sub_block_widths_agree(r, monkeypatch):
         for width in (1, 7, None):
             with monkeypatch.context() as mp:
                 if width is not None:
-                    mp.setattr(_batchrank, "TILE_WORDS", width * m * w)
+                    mp.setattr(_batchrank, "TILE_BYTES", width * m * 8 * w)
                 hists[width] = corank_distribution_mc(cfg, r, count, seed).counts
         assert hists[1] == hists[7] == hists[None], (cfg.label, cfg.d_diag)
         if r <= 7:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnkit import _batchrank, gf2
-from cnkit._batchrank import pack_rows, rank_batch
+from cnkit._batchrank import pack_rows, rank_batch, row_dtype
 from cnkit.gf2 import F2Matrix
 
 
@@ -92,12 +92,68 @@ def test_rank_batch_pivot_edge_cases():
         assert max(got) <= n - 3
 
 
+@pytest.mark.parametrize(
+    "m, dtype, words",
+    [
+        (0, np.uint8, 0),
+        (1, np.uint8, 1),
+        (8, np.uint8, 1),
+        (9, np.uint16, 1),
+        (16, np.uint16, 1),
+        (17, np.uint32, 1),
+        (32, np.uint32, 1),
+        (33, np.uint64, 1),
+        (64, np.uint64, 1),
+        (65, np.uint64, 2),
+        (128, np.uint64, 2),
+        (129, np.uint64, 3),
+    ],
+)
+def test_pack_rows_word_width(m, dtype, words):
+    # the narrowest word that holds a row, on each side of each boundary
+    assert row_dtype(m) == dtype
+    packed = pack_rows(np.eye(m, dtype=np.uint8).reshape(1, m, m))
+    assert packed.dtype == dtype and packed.shape == (1, m, words)
+    b = 8 * packed.itemsize
+    for j, row in enumerate(packed[0].tolist()):  # bit j in bit j % b of word j // b
+        assert row == [1 << (j % b) if q == j // b else 0 for q in range(words)]
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 32, 33, 64, 65])
+def test_rank_batch_every_word_width(m):
+    rng = np.random.default_rng(m)
+    n = m
+    # full rank: a row permutation of a unit upper triangular matrix
+    upper = np.triu(rng.integers(0, 2, size=(6, n, m), dtype=np.uint8), 1)
+    upper[:, range(n), range(n)] = 1
+    full = np.stack([u[rng.permutation(n)] for u in upper])
+    # rank deficient: the second half of the rows repeats the first
+    deficient = rng.integers(0, 2, size=(6, n, m), dtype=np.uint8)
+    deficient[:, n // 2 :] = deficient[:, : n - n // 2]
+    # zero rows: the whole matrix, the first row (a zero pivot from the
+    # start) and the last row; the pivot shift is the full word width
+    zero = rng.integers(0, 2, size=(6, n, m), dtype=np.uint8)
+    zero[0] = 0
+    zero[1:3, 0] = 0
+    zero[3:5, -1] = 0
+    zero[5, ::2] = 0
+    bits = np.concatenate([full, deficient, zero])
+    assert pack_rows(bits).dtype == row_dtype(m)
+    got = checked_ranks(bits)
+    assert list(got) == reference_ranks(bits)
+    assert list(got[:6]) == [n] * 6 and max(got[6:12]) <= n - n // 2 and got[12] == 0
+    # stacks of one matrix and of none
+    assert list(checked_ranks(bits[:1])) == [n]
+    assert list(checked_ranks(bits[12:13])) == [0]
+    assert checked_ranks(bits[:0]).tolist() == []
+
+
 @pytest.mark.parametrize("tile", [1, 2, 3])
-@pytest.mark.parametrize("n, m", [(9, 40), (7, 150)])  # w = 1 and w = 3
+@pytest.mark.parametrize("n, m", [(9, 13), (9, 40), (7, 150)])  # uint16, one and three uint64
 def test_rank_batch_tile_boundaries(monkeypatch, tile, n, m):
-    w = (m + 63) // 64
-    # a few words over tile matrices still make tiles of tile matrices
-    monkeypatch.setattr(_batchrank, "TILE_WORDS", tile * n * w + n * w - 1)
+    row_bytes = pack_rows(np.zeros((1, m), dtype=np.uint8)).nbytes
+    # a few bytes short of tile + 1 matrices still make tiles of tile matrices
+    monkeypatch.setattr(_batchrank, "TILE_BYTES", (tile + 1) * n * row_bytes - 1)
     rng = np.random.default_rng(100 * tile + n)
     for batch in (tile - 1, tile, tile + 1, 2 * tile + 3):
         bits = rng.integers(0, 2, size=(batch, n, m), dtype=np.uint8)

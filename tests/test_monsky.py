@@ -1,7 +1,10 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
 from cnkit import gf2, monsky
+from cnkit._batchrank import row_dtype
 from cnkit.gf2 import F2Matrix, F2Vector
 from cnkit.monsky import (
     ROW_LABELS,
@@ -18,7 +21,6 @@ from cnkit.monsky import (
     redei_g_table,
     row_det,
     row_matrix,
-    row_matrix_batch,
     row_matrix_parts,
     rows_for_residue,
     selmer_rank,
@@ -303,43 +305,87 @@ def _bits(vals, r):
     return np.array([[(v >> j) & 1 for j in range(r)] for v in vals], dtype=np.uint8)
 
 
-def test_row_matrix_batch_matches_scalar():
-    rng = np.random.default_rng(20160328)
-    for r in range(0, 6):
-        triples = [random_constrained_triple(rng, r) for _ in range(12)]
-        a = np.stack([np.array(m.tolist(), dtype=np.uint8).reshape(r, r) for m, _, _ in triples])
-        y = _bits([v.bits for _, v, _ in triples], r)
-        z = _bits([v.bits for _, _, v in triples], r)
-        for row in ROW_LABELS:
-            got = row_matrix_batch(row, a, y, z)
-            for k, (m, yv, zv) in enumerate(triples):
-                assert got[k].tolist() == row_matrix_parts(row, m, yv, zv).tolist(), (r, row, k)
-    with pytest.raises(ValueError):
-        row_matrix_batch("4", a, y, z)
-
-
-def test_form_coranks_match_scalar_to_1e5(sieve):
-    """Batched det of every applicable row equals row_det, and the batched
-    coranks of forms 1 and 2 equal the scalar ones, for every squarefree
-    n <= 1e5 with n = 1, 2, 3, 5, 6, 7 (mod 8), r = 0 included."""
+@pytest.fixture(scope="module")
+def twists(sieve):
+    """The twists of every squarefree n <= 1e5, by (n mod 8, r)."""
     groups = {}
     for n in range(1, 10 ** 5 + 1):
-        if n % 8 in (0, 4):
-            continue
         f = try_factor_squarefree(n, sieve)
         if f is not None:
             groups.setdefault((n % 8, f.r), []).append(build_twist(f))
-    assert (1, 0) in groups and (2, 0) in groups
-    for (t, r), twists in groups.items():
+    return groups
+
+
+def _stack(twists, r):
+    """(a, y, z) of same-r twists as the arrays of `twist_batch`."""
+    return (
+        np.array([_bits(tw.a.rows, r) for tw in twists]).reshape(len(twists), r, r),
+        _bits([tw.y.bits for tw in twists], r),
+        _bits([tw.z.bits for tw in twists], r),
+    )
+
+
+@cache
+def _padded_rows(label, a, y, z, m):
+    """The row words of `row_matrix_parts` (bit j of row i is entry (i, j),
+    the words `pack_rows` gives for its bits), padded to m by an identity
+    block; cached, as many n share a triple."""
+    form = row_matrix_parts(label, a, y, z)
+    return list(form.rows) + [1 << k for k in range(form.nrows, m)]
+
+
+def test_form_words_match_scalar_to_1e5(twists):
+    """The words form_coranks ranks are those of row_matrix_parts with
+    the identity padding, bit for bit, for every label and every
+    squarefree n <= 1e5 (r = 0 to 5), in words of row_dtype(m)."""
+    by_r = {}
+    for (_, r), group in twists.items():
+        by_r.setdefault(r, []).extend(group)
+    assert sorted(by_r) == [0, 1, 2, 3, 4, 5]
+    for r, group in by_r.items():
+        m = 2 * r + 2
+        words = monsky._form_words(ROW_LABELS, *_stack(group, r))
+        assert words.shape == (len(ROW_LABELS), len(group), m)
+        assert words.dtype == row_dtype(m)
+        for label, form in zip(ROW_LABELS, words.tolist()):
+            for tw, got in zip(group, form):
+                assert got == _padded_rows(label, tw.a, tw.y, tw.z, m), (tw.f.n, label)
+
+
+def test_form_words_take_any_triple():
+    """No reciprocity is assumed: random (A, y, z) give the forms of
+    row_matrix_parts, up to 64 columns (r = 31), one word a row in every
+    word width; wider forms are refused."""
+    rng = np.random.default_rng(20160328)
+    for r in (*range(9), 15, 31):
+        count = 12 if r < 9 else 3
+        a = rng.integers(0, 2, size=(count, r, r), dtype=np.uint8)
+        y, z = rng.integers(0, 2, size=(2, count, r), dtype=np.uint8)
+        words = monsky._form_words(ROW_LABELS, a, y, z)
+        m = 2 * r + 2
+        assert words.dtype == row_dtype(m)
+        for k in range(count):
+            ak = F2Matrix.from_rows(a[k].tolist())
+            yk, zk = F2Vector.from_bits(y[k].tolist()), F2Vector.from_bits(z[k].tolist())
+            for label, form in zip(ROW_LABELS, words[:, k].tolist()):
+                assert form == _padded_rows(label, ak, yk, zk, m), (r, k, label)
+    a = rng.integers(0, 2, size=(1, 32, 32), dtype=np.uint8)
+    y = z = np.zeros((1, 32), dtype=np.uint8)
+    assert monsky._form_words(("1", "2"), a, y, z).dtype == np.uint64  # 64 columns
+    with pytest.raises(ValueError, match="64 columns"):
+        monsky._form_words(("1", "5a"), a, y, z)
+
+
+def test_form_coranks_match_scalar_to_1e5(twists):
+    """Batched det of every applicable row equals row_det, and the batched
+    coranks of forms 1 and 2 equal the scalar ones, for every squarefree
+    n <= 1e5 with n = 1, 2, 3, 5, 6, 7 (mod 8), r = 0 included."""
+    assert (1, 0) in twists and (2, 0) in twists
+    for (t, r), group in twists.items():
         rows = rows_for_residue(t)
         labels = tuple(dict.fromkeys(rows + ("1", "2")))
-        coranks = form_coranks(
-            labels,
-            np.array([_bits(tw.a.rows, r) for tw in twists]).reshape(len(twists), r, r),
-            _bits([tw.y.bits for tw in twists], r),
-            _bits([tw.z.bits for tw in twists], r),
-        )
-        for k, tw in enumerate(twists):
+        coranks = form_coranks(labels, *_stack(group, r))
+        for k, tw in enumerate(group):
             got = dict(zip(labels, coranks[:, k].tolist()))
             for row in rows:
                 assert (got[row] == 0) == row_det(row, tw), (tw.f.n, row)
