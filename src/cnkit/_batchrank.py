@@ -3,9 +3,9 @@
 A matrix of m columns is held as row words of the narrowest unsigned
 dtype that takes a row, `row_dtype(m)`: one uint8, uint16 or uint32 word
 per row when m <= 8, 16 or 32, else ceil(m/64) uint64 words.  The scan's
-forms (m = 2r + 2 <= 16 below 1e8) and the census minors thus take one
-small word per row; the Monte Carlo matrices (m = 61 at r = 30) take
-uint64 words.
+forms (m = 2r + 2 <= 16 below 1e8) and the r x r Redei forms of the g
+table and the census thus take one small word per row; the Monte Carlo
+matrices (m = 61 at r = 30) take uint64 words.
 
 `rank_batch` eliminates row by row over an (n, w, tile) copy of the
 word array, so that one row of every matrix is one contiguous slab:
@@ -62,7 +62,13 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     # Rows widened to whole words pack as one flat run, for short rows
     # several times faster than np.packbits row by row.
     aligned = np.zeros(lead + (width,), dtype=np.uint8)
-    aligned[..., :m] = bits
+    if 0 < m < 8 and bits.flags.c_contiguous:
+        # A short row is copied faster one column at a time, over flat views.
+        flat, src = aligned.reshape(-1, width), bits.reshape(-1, m)
+        for j in range(m):
+            flat[:, j] = src[:, j]
+    else:
+        aligned[..., :m] = bits
     packed = np.packbits(aligned, bitorder="little").reshape(lead + (width // 8,))
     return packed.view(dtype)
 

@@ -9,8 +9,8 @@ follows the alpha_k distribution in the limit.
 
 Also here: the two Markov chains (corank steps of +-2 for the ensemble,
 +-1 for class-group 4-ranks), the closed-form limit laws, Monte Carlo
-over bit assignments, and the 4-rank map for n = 3 (mod 4), one n at a
-time or batched over a stack of same-r n.
+over bit assignments, and the scalar 4-rank map for n = 3 (mod 4), the
+oracle of the census, which ranks the g forms of `monsky` instead.
 
 The Monte Carlo path works on blocks of MC_BLOCK assignments: one draw
 of class indices and of the strict upper triangle U as uint64 row words
@@ -36,7 +36,7 @@ from ._batchrank import pack_rows, rank_batch, row_dtype, tile_matrices
 from .classgroup import ClassGroupInfo, classgroup_oracle
 from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
-from .monsky import twist_batch, twist_matrix
+from .monsky import twist_matrix
 from .numtheory import (
     FactoredInteger,
     ResourceLimitError,
@@ -68,7 +68,6 @@ __all__ = [
     "classrank_stationary",
     "gerth_pmf",
     "four_rank",
-    "four_rank_batch",
     "classgroup_oracle",
     "ClassGroupInfo",
 ]
@@ -809,27 +808,3 @@ def four_rank(f: FactoredInteger) -> int:
     a = twist_matrix(f.odd_primes)
     idx = tuple(range(2, f.r + 1))
     return gf2.corank(gf2.submatrix(a, idx, idx))
-
-
-def four_rank_batch(primes: np.ndarray) -> np.ndarray:
-    """`four_rank` for a stack of odd n = 3 (mod 4) with r primes each.
-
-    Row k of the (count, r) array primes holds the odd primes of the k-th
-    n, ascending.  n = 3 (mod 4) holds iff the XOR of the columns of
-    (p & 3) == 3 is set in every row, which is checked before any symbol
-    is looked up.  A comes from `monsky.twist_batch`, and all the
-    (r-1)-minors are ranked in one `rank_batch` call, one narrow word a
-    row (uint8 up to r = 9).
-    """
-    primes = np.asarray(primes, dtype=np.int64)
-    count, r = primes.shape
-    three = (primes & 3) == 3
-    odd = np.zeros(count, dtype=bool)
-    for col in range(r):
-        odd ^= three[:, col]
-    if not odd.all():
-        raise ValueError("four_rank_batch needs n = 3 (mod 4)")
-    if r < 2:
-        return np.zeros(count, dtype=np.int64)
-    a = twist_batch(primes)[0]
-    return (r - 1) - rank_batch(pack_rows(a[:, 1:, 1:]))

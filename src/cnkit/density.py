@@ -24,9 +24,10 @@ records each (n, row) whose two columns differ.  The columns share the
 factorization and the symbols but no form: a wrong g or a wrong row form
 shows as an identity mismatch.
 
-The census has no divisor sums: each same-r stack of n = 3 (mod 4), at
-most BLOCK / 4 n, gets its 4-ranks from one `altsim.four_rank_batch`
-call, its (r-1)-minors packed as uint8 row words (up to r = 9).
+The census has no divisor sums and ranks no form of its own: the 4-rank
+of n = 3 (mod 4) is the corank of the r x r g form of n, so each same-r
+stack, at most BLOCK / 4 n, gets its 4-ranks from the builder of the g
+table (`monsky._redei_coranks`, one uint8 word a row up to r = 8).
 
 The block pass has no integer division and no sum across a short axis:
 the factorization divides by the sieve's smallest prime factor in exact
@@ -43,10 +44,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .altsim import four_rank_batch, gerth_pmf
+from .altsim import gerth_pmf
 from .lfun import divisor_sums_batch
 from .monsky import (
     SELMER_FORM,
+    _redei_coranks,
     form_coranks,
     redei_g_table,
     rows_for_residue,
@@ -184,16 +186,11 @@ def _init_worker(sieve: PrimeSieve, gtable: np.ndarray | None = None) -> None:
     _SIEVE, _GTABLE = sieve, gtable
 
 
-def _check_limit(limit: int, sieve: PrimeSieve) -> None:
-    if limit > sieve.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
-
-
 def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, workers=1):
     """block over the BLOCK-long pieces of [1, limit] for n = residue
     (mod 8), results in block order; every worker holds the sieve and
-    the g table of the range, and a serial run drops its table at the end."""
-    _check_limit(limit, sieve)
+    the g table of the range, and a serial run drops its table at the end;
+    past the sieve limit `redei_g_table` raises ValueError before any work."""
     gtable = redei_g_table(limit, sieve)
     blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
     try:
@@ -300,7 +297,6 @@ def identity_check(
     Returns the number of rows and of n checked, and the mismatches as
     (n, row, divisor sum, determinant), sorted by n and then by row.
     """
-    _check_limit(limit, sieve)
     rows_checked = n_checked = 0
     bad = []
     for residue in (1, 2, 3, 5, 6, 7):
@@ -313,12 +309,14 @@ def identity_check(
 
 def _census_block(args) -> FourRankCensus:
     """The 4-rank histogram of the squarefree n = 3 (mod 4) in [lo, hi):
-    one `four_rank_batch` call per same-r stack, counted by `np.bincount`."""
+    the coranks of the g forms of each same-r stack (`_redei_coranks`),
+    counted by `np.bincount`."""
     lo, hi = args
     census = FourRankCensus(limit=_SIEVE.limit)
     for ns, stack in same_r_stacks(lo, hi, _SIEVE, residue=3, modulus=4):
         census.total += ns.size
-        _add_counts(census.counts, four_rank_batch(stack))
+        a, _, z = twist_batch(stack)
+        _add_counts(census.counts, _redei_coranks(ns, a, z))
     return census
 
 
@@ -332,7 +330,8 @@ def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
 
 def fourrank_census(limit: int, sieve: PrimeSieve, workers: int = 1) -> FourRankCensus:
     """Empirical 4-rank distribution over squarefree n = 3 (mod 4), n <= limit."""
-    _check_limit(limit, sieve)
+    if limit > sieve.limit:  # no g table is built to check it
+        raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     census = FourRankCensus(limit=limit)
     blocks = spans(1, limit + 1, BLOCK)
     for part in map_blocks(_census_block, blocks, workers, _init_worker, (sieve,)):

@@ -275,15 +275,15 @@ def _stack_sums(
         prods[:, 1 << i : 2 << i] = prods[:, : 1 << i] * primes[:, i : i + 1]
     # (d mod 16, g(d)) of every divisor d of n: keyed by whether d holds
     # the 2, d = prods or 2 * prods.
-    divs = {False: (prods % 16, table[prods] != 0)}
+    divs = {False: (prods & 15, table[prods] != 0)}
     even = residue % 2 == 0
     if even:
-        divs[True] = (2 * prods % 16, table[2 * prods] != 0)
+        divs[True] = (2 * prods & 15, table[2 * prods] != 0)
 
     # L of every odd divisor, by the recursion of `_Ctx.lval`: a strict
     # submask has a smaller popcount, so each step reads filled entries.
     res, g = divs[False]
-    ok = res % 8 == 1
+    ok = (res & 7) == 1
     g_ok = g & ok
     lv = np.zeros((count, 1 << r), dtype=bool)
     lv[:, 0] = True
@@ -294,7 +294,7 @@ def _stack_sums(
 
     def hits(mod: int, want, with2: bool) -> np.ndarray:
         res, g = divs[with2]
-        return (res % mod == want) & g
+        return ((res & (mod - 1)) == want) & g
 
     def single(mod: int, want) -> np.ndarray:
         # For even n only d holding the 2 leave an odd quotient.
@@ -306,7 +306,7 @@ def _stack_sums(
         terms = hits(mod0, want0, even)[:, pair0] & hits(mod1, want1, False)[:, pair1]
         return _parity(terms & lv[:, pair_rest])
 
-    n16 = (ns % 16)[:, None]
+    n16 = (ns & 15)[:, None]
     out = np.empty((count, len(rows)), dtype=bool)
     for col, row in enumerate(rows):
         if row == "1":
@@ -320,7 +320,7 @@ def _stack_sums(
         elif row == "5b":
             out[:, col] = pair(8, 7, 8, 3)
         elif row == "6":
-            out[:, col] = pair(16, 7 * n16 % 16, 8, 7) ^ single(16, n16)
+            out[:, col] = pair(16, 7 * n16 & 15, 8, 7) ^ single(16, n16)
         elif row == "7a":
             out[:, col] = single(8, 7)
         elif row == "7b":

@@ -13,8 +13,9 @@ of same-r n as uint8 arrays, the symbols of A looked up in the
 quadratic-residue table of `numtheory.legendre_plus_bulk`;
 `redei_g_table` tabulates g(d) for every squarefree d up to a limit once
 per process, factoring only odd d and ranking the forms of d and 2d
-together from A's row words, and holds the largest table (a limit +
-1-byte read-only array) until exit; and the eight row forms are data,
+together in A's row words (`_redei_coranks`, whose coranks at n = 3
+(mod 4) are the census's 4-ranks), and holds the largest table (a limit
++ 1-byte read-only array) until exit; and the eight row forms are data,
 one entry each of the `_ROW_FORMS` border table, from which
 `form_coranks` builds several forms of a stack of same-r twists straight
 into row words of the narrowest dtype that holds a row (A and A^T packed
@@ -144,8 +145,8 @@ def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape
-    y = ((primes & 3) == 3).view(np.uint8)
-    low = primes & 7
+    low = primes & 7  # read once: a `same_r_stacks` stack is a strided slice
+    y = ((low & 3) == 3).view(np.uint8)
     z = ((low == 3) | (low == 5)).view(np.uint8)
     i, j, ii = _pair_indices(r)
     upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
@@ -211,33 +212,51 @@ def _build_g_table(limit: int, sieve: PrimeSieve) -> np.ndarray:
 
     An odd d and 2d share the (A, z) of d, so only the odd d are
     factored, once per block of `BLOCK` integers, and cut into same-r
-    stacks with `numtheory.same_r_stacks`; the r x r forms of
-    `redei_g_parts` of a stack's d, and of 2d wherever 2d <= limit, are
-    built from A's row words and ranked by `rank_batch`: A with bit 0 of
-    row i replaced by z_i for d = 1 (mod 4) (a column permutation of
-    [A without column 1 | z]), A with bit 0 cleared and row 0 set to 1
-    for d = 3 (mod 4) (det of the minor without row and column 1), and
-    A + D_z, bit i of row i flipped by z_i, for 2d.  g = 1 iff the form
-    has full rank, as the 0 x 0 forms of d = 1 and 2 do.
+    stacks (`numtheory.same_r_stacks`); `_redei_coranks` ranks the d of a
+    stack and every 2d <= limit together, and g = 1 iff the corank is 0.
     """
     table = np.zeros(max(limit, 0) + 1, dtype=np.uint8)
     for lo, hi in spans(1, limit + 1, BLOCK):
         for d, primes in same_r_stacks(lo, hi, sieve, 1, 2):
-            rv = primes.shape[1]
             a, _, z = twist_batch(primes)
-            rows = pack_rows(a)  # (count, r, 1) words, (count, 0, 0) at r = 0
-            one = rows.dtype.type(1)
-            diag = np.left_shift(one, np.arange(rv, dtype=rows.dtype))[:, None]
-            double = d <= limit // 2
-            twice = rows[double] ^ z[double, :, None] * diag
-            low = d & 3
-            rows &= ~one
-            rows |= z[:, :, None] * (low == 1)[:, None, None]
-            rows[low == 3, :1] = one  # a slice: an r = 0 stack has no row 0
-            table[d] = rank_batch(rows) == rv
-            table[2 * d[double]] = rank_batch(twice) == rv
+            double = np.flatnonzero(d <= limit // 2)
+            k = np.concatenate([np.arange(d.size), double])
+            both = np.concatenate([d, 2 * d[double]])
+            table[both] = _redei_coranks(both, a.take(k, axis=0), z.take(k, axis=0)) == 0
     table.flags.writeable = False
     return table
+
+
+@cache
+def _redei_tables(r: int, dtype: np.dtype) -> np.ndarray:
+    """(3, 4, r) read-only row words of the g forms by d & 3, taken whole
+    as a broadcast over a short last axis is slow: the bits each row keeps,
+    where z_i goes (bit 0 for d = 1, bit i for d = 2), bit 0 of row 0 for d = 3."""
+    zero = np.zeros(r, dtype=dtype)
+    one, bit = zero + 1, np.left_shift(zero + 1, np.arange(r, dtype=dtype))
+    tables = np.array([[~zero, ~one, ~zero, ~one], [zero, one, bit, zero], [zero] * 3 + [bit & 1]])
+    tables.setflags(write=False)
+    return tables
+
+
+def _redei_coranks(d: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Coranks of the `redei_g_parts` forms of a stack of squarefree d,
+    given the (A, z) of `twist_batch` for their odd parts (r primes each).
+
+    The r x r forms, in A's row words: for d = 1 (mod 4) bit 0 of row i
+    is z_i (a column permutation of [A without column 1 | z]); for d = 3
+    (mod 4) bit 0 is cleared and set in row 0 only, a pivot of its own,
+    so the corank is that of A without row and column 1 (`altsim.four_rank`);
+    for even d, A + D_z.  One `rank_batch` call ranks them all; the 0 x 0
+    forms of d = 1 and 2 have corank 0.
+    """
+    count, r = z.shape
+    rows = pack_rows(a).reshape(count, r)  # one word a row
+    keep, flip, put = _redei_tables(r, rows.dtype)
+    low = d & 3
+    rows &= keep.take(low, axis=0)
+    rows ^= z * flip.take(low, axis=0) | put.take(low, axis=0)
+    return r - rank_batch(rows[..., None])
 
 
 def _b_mat(a: F2Matrix) -> F2Matrix:

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cnkit import _batchrank, altsim, gf2, numtheory
+from cnkit import _batchrank, altsim, gf2
 from cnkit.altsim import (
     ENSEMBLE_LABELS,
     AltConfig,
@@ -26,7 +26,6 @@ from cnkit.altsim import (
     equivalence_check,
     family_members,
     four_rank,
-    four_rank_batch,
     gerth_pmf,
     markov_stationary,
     markov_step,
@@ -37,9 +36,7 @@ from cnkit._batchrank import pack_rows, rank_batch
 from cnkit.gf2 import F2Matrix
 from cnkit.lfun import LCache
 from cnkit.numtheory import (
-    FactoredInteger,
     ResourceLimitError,
-    enumerate_squarefree,
     factor_squarefree,
     sieve_init,
     try_factor_squarefree,
@@ -549,53 +546,6 @@ def test_four_rank_against_oracle(sieve):
             continue
         assert four_rank(f) == classgroup_oracle(f).four_rank, n
 
-
-def test_four_rank_batch_matches_scalar_to_1e5(sieve):
-    # Every squarefree n = 3 (mod 4) up to 1e5, factored by the scalar path
-    # and stacked by r; compared n by n with the scalar four_rank.
-    by_r: dict[int, list] = {}
-    for f in enumerate_squarefree(3, 4, sieve.limit, sieve):
-        by_r.setdefault(f.r, []).append(f)
-    assert sorted(by_r) == [1, 2, 3, 4, 5]
-    for r, fs in by_r.items():
-        got = four_rank_batch(np.array([f.odd_primes for f in fs]).reshape(len(fs), r))
-        assert got.shape == (len(fs),)
-        for f, k in zip(fs, got.tolist()):
-            assert k == four_rank(f), f.n
-
-
-def test_four_rank_batch_edges():
-    # r = 1: an empty minor, 4-rank 0.
-    assert four_rank_batch(np.array([[3], [7], [11], [19]])).tolist() == [0, 0, 0, 0]
-    assert four_rank_batch(np.array([[3, 13]])).tolist() == [1]  # n = 39
-    with pytest.raises(ValueError):
-        four_rank_batch(np.array([[5]]))
-    with pytest.raises(ValueError):
-        four_rank_batch(np.array([[3, 7]]))  # 21 = 1 (mod 4)
-
-
-def test_four_rank_batch_rejects_pairs_above_the_table_cap(monkeypatch):
-    empty = (0, np.empty(0, np.int64), np.empty(0, np.uint8))
-    monkeypatch.setattr(numtheory, "_QR_TABLE", empty)
-    # 32771 = 3 and 32789 = 1 (mod 4): the smaller prime is above 2**15,
-    # which fails before any table is built.
-    with pytest.raises(ValueError, match=r"2\*\*15"):
-        four_rank_batch(np.array([[7, 13], [32771, 32789]]))
-    assert numtheory._QR_TABLE is empty
-    # Only the smaller prime of a pair is a modulus.
-    f = FactoredInteger(n=7 * 32789, odd_primes=(7, 32789), is_even=False)
-    assert four_rank_batch(np.array([f.odd_primes])).tolist() == [four_rank(f)]
-
-
-
-@pytest.mark.parametrize("primes", [np.zeros((2, 0), np.int64), [[3, 7, 11], [3, 5, 7]]])
-def test_four_rank_batch_rejects_n_1_mod_4_before_any_table(monkeypatch, primes):
-    # n = 1 at r = 0, and 105 = 1 (mod 4) beside 231 = 3 (mod 4) at r = 3.
-    empty = (0, np.empty(0, np.int64), np.empty(0, np.uint8))
-    monkeypatch.setattr(numtheory, "_QR_TABLE", empty)
-    with pytest.raises(ValueError, match=r"n = 3 \(mod 4\)"):
-        four_rank_batch(np.array(primes))
-    assert numtheory._QR_TABLE is empty
 
 def test_four_rank_index_independence(sieve):
     from cnkit.monsky import build_twist

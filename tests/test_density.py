@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,28 @@ def test_scan_errors(sieve):
         scan(4, 100, sieve)
     with pytest.raises(ValueError):
         scan(5, 10 ** 7, sieve)
+
+
+def test_range_functions_raise_past_the_sieve_limit(sieve):
+    # The scans check through `redei_g_table`, the census on its own.
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        list(certified_table(5, 10 ** 5 + 1, sieve))
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        identity_check(10 ** 5 + 1, sieve)
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        fourrank_census(10 ** 5 + 1, sieve)
+
+
+def test_g_table_and_census_pinned_at_1e6():
+    sieve = sieve_init(10 ** 6)
+    table = monsky._build_g_table(10 ** 6, sieve)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "045d6828c2ab262ccbf51fc8291b650f5e4a727f0d0870af5f1fcc0d679c15b9"
+    )
+    census = fourrank_census(10 ** 6, sieve)
+    assert census.counts == {0: 117795, 1: 80507, 2: 4345, 3: 3}
+    assert list(census.counts) == [0, 1, 2, 3]
+    assert census.total == 202_650
 
 
 def test_census_small(sieve):

@@ -3,7 +3,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from cnkit import gf2, monsky
+from cnkit import gf2, monsky, numtheory
 from cnkit._batchrank import row_dtype
 from cnkit.gf2 import F2Matrix, F2Vector
 from cnkit.monsky import (
@@ -26,7 +26,15 @@ from cnkit.monsky import (
     selmer_rank,
     twist_batch,
 )
-from cnkit.numtheory import factor_squarefree, legendre_plus, sieve_init, try_factor_squarefree
+from cnkit.altsim import four_rank
+from cnkit.numtheory import (
+    FactoredInteger,
+    enumerate_squarefree,
+    factor_squarefree,
+    legendre_plus,
+    sieve_init,
+    try_factor_squarefree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +432,51 @@ def test_twist_batch_small_r(r):
     assert not a.any()
     if r:
         assert y[:, 0].tolist() == [1, 0, 1, 1] and z[:, 0].tolist() == [1, 1, 0, 1]
+
+def test_twist_batch_rejects_pairs_above_the_table_cap(monkeypatch):
+    empty = (0, np.empty(0, np.int64), np.empty(0, np.uint8))
+    monkeypatch.setattr(numtheory, "_QR_TABLE", empty)
+    # 32771 = 3 and 32789 = 1 (mod 4): the smaller prime is above 2**15,
+    # which fails before any table is built.
+    with pytest.raises(ValueError, match=r"2\*\*15"):
+        twist_batch(np.array([[7, 13], [32771, 32789]]))
+    assert numtheory._QR_TABLE is empty
+    # Only the smaller prime of a pair is a modulus.
+    tw = build_twist(FactoredInteger(n=7 * 32789, odd_primes=(7, 32789), is_even=False))
+    a, y, z = twist_batch(np.array([tw.f.odd_primes]))
+    assert (a[0].tolist(), y[0].tolist(), z[0].tolist()) == (tw.a.tolist(), tw.y.tolist(), tw.z.tolist())
+
+
+def test_redei_coranks_match_four_rank_to_1e5(sieve):
+    """The corank of the g form of every squarefree n = 3 (mod 4) up to
+    1e5 (r = 1 to 5) is the scalar four_rank of n, the census's 4-rank."""
+    by_r = {}
+    for f in enumerate_squarefree(3, 4, sieve.limit, sieve):
+        by_r.setdefault(f.r, []).append(f)
+    assert sorted(by_r) == [1, 2, 3, 4, 5]
+    for r, fs in by_r.items():
+        ns = np.array([f.n for f in fs])
+        a, _, z = twist_batch(np.array([f.odd_primes for f in fs]).reshape(len(fs), r))
+        got = monsky._redei_coranks(ns, a, z)
+        assert got.shape == (len(fs),)
+        assert got.tolist() == [four_rank(f) for f in fs], r
+
+
+def test_redei_coranks_edges(sieve):
+    # r = 0: the empty forms of d = 1 and 2; r = 1: every p = 3 (mod 4)
+    # has 4-rank 0; 39 = 3 * 13 has 4-rank 1.
+    a, _, z = twist_batch(np.zeros((2, 0), np.int64))
+    assert monsky._redei_coranks(np.array([1, 2]), a, z).tolist() == [0, 0]
+    a, _, z = twist_batch(np.array([[3], [7], [11], [19]]))
+    assert monsky._redei_coranks(np.array([3, 7, 11, 19]), a, z).tolist() == [0, 0, 0, 0]
+    a, _, z = twist_batch(np.array([[3, 13]]))
+    assert monsky._redei_coranks(np.array([39]), a, z).tolist() == [1]
+    # d = 1, 3 (mod 4) and even in one stack, each given its own form.
+    d = np.array([15, 30, 39, 78, 65, 130, 21, 42])
+    a, _, z = twist_batch(np.array([[3, 5], [3, 5], [3, 13], [3, 13], [5, 13], [5, 13], [3, 7], [3, 7]]))
+    got = monsky._redei_coranks(d, a, z) == 0
+    assert got.tolist() == [redei_g(factor_squarefree(int(n), sieve)) == 1 for n in d]
+
 
 # The builder itself, out of reach of the `cold_g_table` counting patch.
 _fresh_g_table = monsky._build_g_table
