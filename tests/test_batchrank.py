@@ -119,6 +119,17 @@ def test_pack_rows_word_width(m, dtype, words):
         assert row == [1 << (j % b) if q == j // b else 0 for q in range(words)]
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 7, 8, 9])
+def test_pack_rows_any_layout(m):
+    # C-contiguous rows (copied a column at a time below 8 bits) and a
+    # strided view of the same bits pack to the same words.
+    bits = np.random.default_rng(m).integers(0, 2, size=(40, 3, 2 * m), dtype=np.uint8)
+    view = bits[:, :, ::2]
+    want = [[sum(b << j for j, b in enumerate(row))] for row in view.reshape(-1, m).tolist()]
+    for rows in (view, view.copy()):
+        assert pack_rows(rows).reshape(-1, 1).tolist() == want
+
+
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 32, 33, 64, 65])
 def test_rank_batch_every_word_width(m):
     rng = np.random.default_rng(m)

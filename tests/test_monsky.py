@@ -5,6 +5,7 @@ import pytest
 
 from cnkit import gf2, monsky, numtheory
 from cnkit._batchrank import row_dtype
+from cnkit.altsim import four_rank
 from cnkit.gf2 import F2Matrix, F2Vector
 from cnkit.monsky import (
     ROW_LABELS,
@@ -26,7 +27,6 @@ from cnkit.monsky import (
     selmer_rank,
     twist_batch,
 )
-from cnkit.altsim import four_rank
 from cnkit.numtheory import (
     FactoredInteger,
     enumerate_squarefree,
@@ -433,6 +433,7 @@ def test_twist_batch_small_r(r):
     if r:
         assert y[:, 0].tolist() == [1, 0, 1, 1] and z[:, 0].tolist() == [1, 1, 0, 1]
 
+
 def test_twist_batch_rejects_pairs_above_the_table_cap(monkeypatch):
     empty = (0, np.empty(0, np.int64), np.empty(0, np.uint8))
     monkeypatch.setattr(numtheory, "_QR_TABLE", empty)
@@ -444,7 +445,8 @@ def test_twist_batch_rejects_pairs_above_the_table_cap(monkeypatch):
     # Only the smaller prime of a pair is a modulus.
     tw = build_twist(FactoredInteger(n=7 * 32789, odd_primes=(7, 32789), is_even=False))
     a, y, z = twist_batch(np.array([tw.f.odd_primes]))
-    assert (a[0].tolist(), y[0].tolist(), z[0].tolist()) == (tw.a.tolist(), tw.y.tolist(), tw.z.tolist())
+    got = (a[0].tolist(), y[0].tolist(), z[0].tolist())
+    assert got == (tw.a.tolist(), tw.y.tolist(), tw.z.tolist())
 
 
 def test_redei_coranks_match_four_rank_to_1e5(sieve):
@@ -473,7 +475,7 @@ def test_redei_coranks_edges(sieve):
     assert monsky._redei_coranks(np.array([39]), a, z).tolist() == [1]
     # d = 1, 3 (mod 4) and even in one stack, each given its own form.
     d = np.array([15, 30, 39, 78, 65, 130, 21, 42])
-    a, _, z = twist_batch(np.array([[3, 5], [3, 5], [3, 13], [3, 13], [5, 13], [5, 13], [3, 7], [3, 7]]))
+    a, _, z = twist_batch(np.array([[3, 5], [3, 13], [5, 13], [3, 7]]).repeat(2, axis=0))
     got = monsky._redei_coranks(d, a, z) == 0
     assert got.tolist() == [redei_g(factor_squarefree(int(n), sieve)) == 1 for n in d]
 
