@@ -26,8 +26,8 @@ shows as an identity mismatch.
 
 The census has no divisor sums and ranks no form of its own: the 4-rank
 of n = 3 (mod 4) is the corank of the r x r g form of n, so each same-r
-stack, at most BLOCK / 4 n, gets its 4-ranks from the builder of the g
-table (`monsky._redei_coranks`, one uint8 word a row up to r = 8).
+stack, at most BLOCK / 4 n, gets its 4-ranks from the g table's form
+ranking (`monsky._redei_coranks`, one uint8 word a row up to r = 8).
 
 The block pass has no integer division and no sum across a short axis:
 the factorization divides by the sieve's smallest prime factor in exact
