@@ -15,7 +15,7 @@ for k in range(4):
     print(f"  k={k}: {up:.5f} / {stay:.5f} / {down:.5f}")
 
 for parity in ("even", "odd"):
-    st = markov_stationary(parity, k_max=64, tol=1e-13)
+    st = markov_stationary(parity, k_max=64)
     ks = sorted(st)[:4]
     print(f"\n{parity} stationary vs closed form:")
     for k in ks:
@@ -25,6 +25,6 @@ print("\nclass-rank chain (step +1 / 0 / -1) and its stationary law:")
 for k in range(3):
     up, stay, down = classrank_markov_step(k)
     print(f"  k={k}: {up:.5f} / {stay:.5f} / {down:.5f}")
-st = classrank_stationary(k_max=64, tol=1e-13)
+st = classrank_stationary(k_max=64)
 for k in range(4):
     print(f"  k={k}: {st[k]:.10f}  limit pmf = {gerth_pmf(k):.10f}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from ._batchrank import pack_rows, rank_batch, row_dtype, tile_matrices
 from .classgroup import ClassGroupInfo, classgroup_oracle
 from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
-from .monsky import twist_matrix
+from .monsky import reciprocal_fill, twist_matrix
 from .numtheory import (
     FactoredInteger,
     ResourceLimitError,
@@ -250,16 +250,7 @@ class CorankHistogram:
 
 def _assignment_bits(cfg: AltConfig, src: BitAssignment):
     """Per-prime symbol bits and the A matrix encoded by an assignment."""
-    r = src.r
-    y = [_sym_plus(-1, c) for c in src.classes]
-    rows = list(src.upper)
-    for i in range(r):
-        for j in range(i + 1, r):
-            bit = (rows[i] >> j) & 1
-            rows[j] |= (bit ^ (y[i] & y[j])) << i
-    for i in range(r):
-        rows[i] |= (bin(rows[i]).count("1") & 1) << i
-    a = F2Matrix(r, r, tuple(rows))
+    a = reciprocal_fill(src.upper, [_sym_plus(-1, c) for c in src.classes])
     sym = lambda dd: [_sym_plus(dd, c) for c in src.classes]  # noqa: E731
     return a, sym
 
@@ -387,19 +378,18 @@ def markov_step(k: int) -> tuple[float, float, float]:
 
 
 CHAIN_K_MAX = 1 << 16  # every state past k = 50 or so is 0.0 in float64 anyway
+CHAIN_TOL = 1e-13  # bound on a stationary law's residual; measured ones are below 3e-17
 
 
-def _stationary(step, k_min: int, k_max: int, stride: int, tol: float) -> dict[int, float]:
+def _stationary(step, k_min: int, k_max: int, stride: int) -> dict[int, float]:
     """Stationary law of the birth-death chain on range(k_min, k_max + 1, stride),
     the top state's up folded into its stay, by detailed balance:
     pi(k + stride) / pi(k) = up(k) / down(k + stride).  The law is accepted
-    only if its residual |pi P - pi|_1 is below tol."""
+    only if its residual |pi P - pi|_1 is below CHAIN_TOL."""
     if k_max < 8:
         raise ValueError("k_max must be at least 8")
     if k_max > CHAIN_K_MAX:
         raise ResourceLimitError(f"k_max={k_max} is over the chain bound of {CHAIN_K_MAX}")
-    if not 0 < tol < inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     states = range(k_min, k_max + 1, stride)
     up, stay, down = np.array([step(k) for k in states]).T
     stay[-1] += up[-1]  # reflect the (astronomically small) top overflow
@@ -410,17 +400,17 @@ def _stationary(step, k_min: int, k_max: int, stride: int, tol: float) -> dict[i
     flow[1:] += pi[:-1] * up[:-1]
     flow[:-1] += pi[1:] * down[1:]
     residual = float(np.abs(flow - pi).sum())
-    if not residual < tol:
-        raise ValueError(f"the stationary law has residual {residual:.3g}, not below tol={tol}")
+    if not residual < CHAIN_TOL:
+        raise ValueError(f"stationary law residual {residual:.3g} is not below tol={CHAIN_TOL}")
     return {k: float(p) for k, p in zip(states, pi)}
 
 
-def markov_stationary(parity: str, k_max: int = 64, tol: float = 1e-12) -> dict[int, float]:
+def markov_stationary(parity: str, k_max: int = 64) -> dict[int, float]:
     """Fixed point of the corank chain on one parity class, by detailed balance."""
     k_min = {"even": 0, "odd": 1}.get(parity)
     if k_min is None:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return _stationary(markov_step, k_min, k_max, 2, tol)
+    return _stationary(markov_step, k_min, k_max, 2)
 
 
 def classrank_markov_step(k: int) -> tuple[float, float, float]:
@@ -431,9 +421,9 @@ def classrank_markov_step(k: int) -> tuple[float, float, float]:
     return up, stay, down
 
 
-def classrank_stationary(k_max: int = 64, tol: float = 1e-12) -> dict[int, float]:
+def classrank_stationary(k_max: int = 64) -> dict[int, float]:
     """Fixed point of the 4-rank chain, by detailed balance."""
-    return _stationary(classrank_markov_step, 0, k_max, 1, tol)
+    return _stationary(classrank_markov_step, 0, k_max, 1)
 
 
 def gerth_pmf(k: int) -> float:
@@ -752,8 +742,9 @@ def _mc_block_bytes(r: int, t: int, count: int) -> int:
     return count * (16 * r + 8 * r * wr) + sub * (24 * m * w + 64 * r * wr)
 
 
-def _mc_block(args) -> np.ndarray:
-    cfg, r, seed, block, count = args
+def _mc_block(args, cfg: AltConfig, r: int, seed: int) -> np.ndarray:
+    """The corank counts of one block, args = (block index, samples)."""
+    block, count = args
     rng = _block_rng(seed, block)
     cls, upper = _draw_block(cfg, r, rng, count)
     m = 2 * r + cfg.t
@@ -788,9 +779,9 @@ def corank_distribution_mc(
     _check_block(r, count, _mc_block_bytes(r, cfg.t, count))
     m = 2 * r + cfg.t
     pieces = enumerate(spans(0, samples, MC_BLOCK))
-    blocks = [(cfg, r, seed, b, hi - lo) for b, (lo, hi) in pieces]
+    blocks = [(b, hi - lo) for b, (lo, hi) in pieces]
     total = np.zeros(m + 1, dtype=np.int64)
-    for counts in map_blocks(_mc_block, blocks, workers):
+    for counts in map_blocks(_mc_block, blocks, workers, (cfg, r, seed)):
         total += counts
     hist = CorankHistogram(label=cfg.label, r=r, samples=samples, seed=seed)
     hist.counts = {k: int(c) for k, c in enumerate(total) if c}

@@ -167,10 +167,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_markov(args) -> int:
     if args.chain == "classrank":
-        dist = classrank_stationary(k_max=args.k_max, tol=args.tol)
+        dist = classrank_stationary(k_max=args.k_max)
         ref = {k: gerth_pmf(k) for k in dist}
     else:
-        dist = markov_stationary(args.chain, k_max=args.k_max, tol=args.tol)
+        dist = markov_stationary(args.chain, k_max=args.k_max)
         ref = {k: alpha(k) for k in dist}
     rows = [[k, dist[k], ref[k]] for k in sorted(dist)]
     header = ["k", "probability", "closed_form"]
@@ -240,7 +240,6 @@ def build_parser() -> _Parser:
     markov = sub.add_parser("markov", help="stationary distribution of a corank chain")
     markov.add_argument("--chain", choices=("even", "odd", "classrank"), required=True)
     markov.add_argument("--k-max", type=int, default=64, dest="k_max")
-    markov.add_argument("--tol", type=float, default=1e-12)
     common(markov)
     alpha_p = sub.add_parser("alpha", help="table of the limit-law constants")
     alpha_p.add_argument("--k-max", type=int, default=10, dest="k_max")

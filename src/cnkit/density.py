@@ -9,20 +9,20 @@ standing cross-check.
 `scan`, `certified_table` and `identity_check` share one numpy engine.
 g(d) for every squarefree d up to their limit is tabulated once per
 process (`monsky.redei_g_table`, which holds only the largest table
-built, a limit + 1-byte read-only array, until exit) and handed to every
-block.  Each block of `BLOCK` integers is factored once and yields its n
-as one stack per prime count r (`numtheory.same_r_stacks`), at most
-BLOCK / 8 n.  A stack gets its divisor sums from
-`lfun.divisor_sums_batch` (cut to `lfun.PAIR_BUDGET` pairs) and its
-determinant forms from one `monsky.twist_batch` and one
-`monsky.form_coranks` call, which builds the forms straight into row
-words (one uint8, uint16 or uint32 word a row, by the form's width) and
-ranks them together: every row form and the Selmer form for a scan, the
-Selmer form of the certified n for `certified_table` (the row is the
-first nonzero sum), and every row form for `identity_check`, which
-records each (n, row) whose two columns differ.  The columns share the
-factorization and the symbols but no form: a wrong g or a wrong row form
-shows as an identity mismatch.
+built, a limit + 1-byte read-only array, until exit) and passed with the
+sieve to every block as an argument, so no run leaves state here.  Each
+block of `BLOCK` integers is factored once and yields its n as one stack
+per prime count r (`numtheory.same_r_stacks`), at most BLOCK / 8 n.  A
+stack gets its divisor sums from `lfun.divisor_sums_batch` (cut to
+`lfun.PAIR_BUDGET` pairs) and its determinant forms from one
+`monsky.twist_batch` and one `monsky.form_coranks` call, which builds
+the forms straight into row words (one uint8, uint16 or uint32 word a
+row, by the form's width) and ranks them together: every row form and
+the Selmer form for a scan, the Selmer form of the certified n for
+`certified_table` (the row is the first nonzero sum), and every row form
+for `identity_check`, which records each (n, row) whose two columns
+differ.  The columns share the factorization and the symbols but no
+form: a wrong g or a wrong row form shows as an identity mismatch.
 
 The census has no divisor sums and ranks no form of its own: the 4-rank
 of n = 3 (mod 4) is the corank of the r x r g form of n, so each same-r
@@ -44,7 +44,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .altsim import gerth_pmf
 from .lfun import divisor_sums_batch
 from .monsky import (
     SELMER_FORM,
@@ -171,44 +170,26 @@ class FourRankCensus:
     def frequency(self, k: int) -> float:
         return self.counts.get(k, 0) / self.total if self.total else 0.0
 
-    def reference(self, k: int) -> float:
-        return gerth_pmf(k)
-
-
-# Per-worker state, set by `_init_worker` once per pool worker, or before
-# each block of a serial run: the sieve and the g table of the run.
-_SIEVE: PrimeSieve | None = None
-_GTABLE: np.ndarray | None = None
-
-
-def _init_worker(sieve: PrimeSieve, gtable: np.ndarray | None = None) -> None:
-    global _SIEVE, _GTABLE
-    _SIEVE, _GTABLE = sieve, gtable
-
 
 def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, workers=1):
-    """block over the BLOCK-long pieces of [1, limit] for n = residue
-    (mod 8), results in block order; every worker holds the sieve and
-    the g table of the range, and a serial run drops its table at the end;
-    past the sieve limit `redei_g_table` raises ValueError before any work."""
-    gtable = redei_g_table(limit, sieve)
+    """block(args, sieve, gtable) over the BLOCK-long pieces of [1, limit]
+    for n = residue (mod 8), results in block order, gtable the g table of
+    the range; past the sieve limit `redei_g_table` raises ValueError
+    before any work."""
     blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
-    try:
-        yield from map_blocks(block, blocks, workers, _init_worker, (sieve, gtable))
-    finally:
-        _init_worker(sieve)
+    return map_blocks(block, blocks, workers, (sieve, redei_g_table(limit, sieve)))
 
 
-def _block_stacks(args) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _block_stacks(args, sieve, gtable) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(ns, primes, divisor sums) of each same-r stack of one block."""
     residue, lo, hi = args
-    for ns, stack in same_r_stacks(lo, hi, _SIEVE, residue, 8):
-        yield ns, stack, divisor_sums_batch(residue, ns, stack, _GTABLE)
+    for ns, stack in same_r_stacks(lo, hi, sieve, residue, 8):
+        yield ns, stack, divisor_sums_batch(residue, ns, stack, gtable)
 
 
-def _scan_block(args) -> DensityReport:
-    rep = DensityReport(residue=args[0], limit=_SIEVE.limit)
-    for ns, stack, sums in _block_stacks(args):
+def _scan_block(args, sieve, gtable) -> DensityReport:
+    rep = DensityReport(residue=args[0], limit=sieve.limit)
+    for ns, stack, sums in _block_stacks(args, sieve, gtable):
         rep.squarefree_count += ns.size
         _tally(rep, sums, *twist_batch(stack))
     return rep
@@ -250,12 +231,12 @@ def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> Densi
     return rep
 
 
-def _certify_block(args) -> list[Certificate]:
+def _certify_block(args, sieve, gtable) -> list[Certificate]:
     residue = args[0]
     rows = rows_for_residue(residue)
     form, value = SELMER_FORM[residue]
     found = []
-    for ns, stack, sums in _block_stacks(args):
+    for ns, stack, sums in _block_stacks(args, sieve, gtable):
         hit = sums.any(axis=1)
         rank3 = form_coranks((form,), *twist_batch(stack[hit]))[0] == value
         found += zip(ns[hit].tolist(), sums[hit].argmax(axis=1).tolist(), rank3.tolist())
@@ -277,10 +258,10 @@ def certified_table(
         yield from part
 
 
-def _verify_block(args) -> tuple[int, list[tuple[int, str, int, int]]]:
+def _verify_block(args, sieve, gtable) -> tuple[int, list[tuple[int, str, int, int]]]:
     rows = rows_for_residue(args[0])
     count, bad = 0, []
-    for ns, stack, sums in _block_stacks(args):
+    for ns, stack, sums in _block_stacks(args, sieve, gtable):
         count += ns.size
         dets = (form_coranks(rows, *twist_batch(stack)) == 0).T
         for k, j in zip(*np.nonzero(sums != dets)):
@@ -307,13 +288,13 @@ def identity_check(
     return rows_checked, n_checked, sorted(bad)
 
 
-def _census_block(args) -> FourRankCensus:
+def _census_block(args, sieve) -> FourRankCensus:
     """The 4-rank histogram of the squarefree n = 3 (mod 4) in [lo, hi):
     the coranks of the g forms of each same-r stack (`_redei_coranks`),
     counted by `np.bincount`."""
     lo, hi = args
-    census = FourRankCensus(limit=_SIEVE.limit)
-    for ns, stack in same_r_stacks(lo, hi, _SIEVE, residue=3, modulus=4):
+    census = FourRankCensus(limit=sieve.limit)
+    for ns, stack in same_r_stacks(lo, hi, sieve, residue=3, modulus=4):
         census.total += ns.size
         a, _, z = twist_batch(stack)
         _add_counts(census.counts, _redei_coranks(ns, a, z))
@@ -334,6 +315,6 @@ def fourrank_census(limit: int, sieve: PrimeSieve, workers: int = 1) -> FourRank
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     census = FourRankCensus(limit=limit)
     blocks = spans(1, limit + 1, BLOCK)
-    for part in map_blocks(_census_block, blocks, workers, _init_worker, (sieve,)):
+    for part in map_blocks(_census_block, blocks, workers, (sieve,)):
         census.merge(part)
     return census

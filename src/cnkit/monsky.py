@@ -68,6 +68,7 @@ __all__ = [
     "aux_t",
     "selmer_rank",
     "rank3_indicator",
+    "reciprocal_fill",
     "random_constrained_triple",
 ]
 
@@ -554,6 +555,20 @@ def rank3_indicator(t: TwistData) -> bool:
 SELMER_FORM = {1: ("1", 2), 2: ("2", 2), 3: ("1", 1), 5: ("1", 1), 6: ("2", 1), 7: ("1", 2)}
 
 
+def reciprocal_fill(upper: Sequence[int], y: Sequence[int]) -> F2Matrix:
+    """A from its strict upper rows (row i holds the bits j > i) and the
+    bits y: the lower triangle by reciprocity, A_ji = A_ij + y_i y_j, and
+    the diagonal by row parity, so that every row of A sums to zero."""
+    r = len(upper)
+    rows = list(upper)
+    for i in range(r):
+        for j in range(i + 1, r):
+            rows[j] |= (((upper[i] >> j) & 1) ^ (y[i] & y[j])) << i
+    for i in range(r):
+        rows[i] |= (bin(rows[i]).count("1") & 1) << i
+    return F2Matrix(r, r, tuple(rows))
+
+
 def random_constrained_triple(rng, r: int) -> tuple[F2Matrix, F2Vector, F2Vector]:
     """Random (A, y, z) with rows of A summing to zero and A_ij + A_ji = y_i y_j.
 
@@ -563,12 +578,8 @@ def random_constrained_triple(rng, r: int) -> tuple[F2Matrix, F2Vector, F2Vector
     """
     y = F2Vector.from_bits(int(b) for b in rng.integers(0, 2, size=r))
     z = F2Vector.from_bits(int(b) for b in rng.integers(0, 2, size=r))
-    rows = [0] * r
+    upper = [0] * r
     for i in range(r):
         for j in range(i + 1, r):
-            bit = int(rng.integers(0, 2))
-            rows[i] |= bit << j
-            rows[j] |= (bit ^ (y[i] & y[j])) << i
-    for i in range(r):
-        rows[i] |= (bin(rows[i]).count("1") & 1) << i
-    return F2Matrix(r, r, tuple(rows)), y, z
+            upper[i] |= int(rng.integers(0, 2)) << j
+    return reciprocal_fill(upper, y), y, z

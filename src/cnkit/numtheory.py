@@ -15,13 +15,16 @@ below a power of two, built once per process and capped at
 Range work is cut one way: `spans` cuts a range into blocks of `BLOCK`
 integers, `map_blocks` maps over them, and `same_r_stacks` factors one
 block at once and hands it on as one stack per prime count r, ascending.
+A block pass takes the tables of its run (a sieve, a g table) as
+arguments after the block, which `map_blocks` hands to each pool worker
+once, so that no module keeps run state between blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Iterator
 
 import numpy as np
@@ -242,24 +245,35 @@ def same_r_stacks(
 # for a serial run loads no process machinery.
 ProcessPoolExecutor = None
 
+# The shared arguments of the pool run this worker serves, set once per
+# worker by `_set_shared`; the parent never sets them.
+_SHARED: tuple = ()
 
-def map_blocks(fn, blocks, workers: int = 1, initializer=None, initargs=()) -> Iterator:
-    """fn over the sequence blocks, results in block order: in a pool of
-    min(workers, len(blocks)) processes, each set up once by
-    initializer(*initargs), or else in this process, with it run before
-    each block, so that runs consumed in turn do not see each other's state."""
+
+def _set_shared(shared: tuple) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _run_shared(fn, block):
+    return fn(block, *_SHARED)
+
+
+def map_blocks(fn, blocks, workers: int = 1, shared: tuple = ()) -> Iterator:
+    """fn(block, *shared) for each block of the sequence blocks, results in
+    block order: in a pool of min(workers, len(blocks)) processes, each of
+    which receives shared once, or else in this process.  fn is a
+    module-level function, so that a pool can send it by name."""
     global ProcessPoolExecutor
     workers = min(workers, len(blocks))
     if workers > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
-            yield from pool.map(fn, blocks)
+        with ProcessPoolExecutor(workers, initializer=_set_shared, initargs=(shared,)) as pool:
+            yield from pool.map(partial(_run_shared, fn), blocks)
         return
     for block in blocks:
-        if initializer is not None:
-            initializer(*initargs)
-        yield fn(block)
+        yield fn(block, *shared)
 
 
 def factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger:

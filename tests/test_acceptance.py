@@ -277,11 +277,11 @@ def test_criterion_06_limit_law():
         "even sum": abs(sum(alpha(k) for k in range(0, 64, 2)) - 1.0) < 1e-12,
         "odd sum": abs(sum(alpha(k) for k in range(1, 64, 2)) - 1.0) < 1e-12,
     }
-    even = markov_stationary("even", k_max=64, tol=1e-13)
-    odd = markov_stationary("odd", k_max=64, tol=1e-13)
+    even = markov_stationary("even", k_max=64)
+    odd = markov_stationary("odd", k_max=64)
     checks["stationary even"] = all(abs(even[k] - alpha(k)) < 1e-6 for k in range(0, 11, 2))
     checks["stationary odd"] = all(abs(odd[k] - alpha(k)) < 1e-6 for k in range(1, 11, 2))
-    cls = classrank_stationary(k_max=64, tol=1e-13)
+    cls = classrank_stationary(k_max=64)
     checks["class-rank stationary"] = all(
         abs(cls[k] - gerth_pmf(k)) < 1e-6 for k in range(9)
     )

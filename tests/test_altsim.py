@@ -202,8 +202,8 @@ def test_markov_step_values():
 
 
 def test_markov_stationary_matches_alpha():
-    even = markov_stationary("even", k_max=64, tol=1e-13)
-    odd = markov_stationary("odd", k_max=64, tol=1e-13)
+    even = markov_stationary("even", k_max=64)
+    odd = markov_stationary("odd", k_max=64)
     for k in range(0, 11, 2):
         assert abs(even[k] - alpha(k)) < 1e-6
     for k in range(1, 11, 2):
@@ -213,14 +213,6 @@ def test_markov_stationary_matches_alpha():
         markov_stationary("sideways")
     with pytest.raises(ValueError):
         markov_stationary("even", k_max=4)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
-def test_markov_rejects_tol_before_iterating(tol):
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        markov_stationary("odd", k_max=64, tol=tol)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        classrank_stationary(k_max=64, tol=tol)
 
 
 def test_markov_rejects_a_chain_over_the_budget():
@@ -249,9 +241,10 @@ def test_markov_k_max_bounds(chain):
 
 
 @pytest.mark.parametrize("chain", sorted(_CHAINS))
-def test_markov_reports_a_residual_over_tol(chain):
+def test_markov_reports_a_residual_over_tol(chain, monkeypatch):
+    monkeypatch.setattr(altsim, "CHAIN_TOL", 1e-30)
     with pytest.raises(ValueError, match=r"residual .* not below tol=1e-30"):
-        _CHAINS[chain](k_max=64, tol=1e-30)
+        _CHAINS[chain](k_max=64)
 
 
 @pytest.mark.parametrize(
@@ -259,7 +252,7 @@ def test_markov_reports_a_residual_over_tol(chain):
 )
 def test_markov_stationary_equals_the_closed_form(chain, k_max):
     law = gerth_pmf if chain == "classrank" else alpha
-    st = _CHAINS[chain](k_max=k_max, tol=1e-13)
+    st = _CHAINS[chain](k_max=k_max)
     assert max(abs(p - law(k)) for k, p in st.items()) <= 1e-15
 
 
@@ -267,7 +260,7 @@ def test_classrank_chain():
     assert classrank_markov_step(0)[2] == 0.0
     for k in range(11):
         assert abs(sum(classrank_markov_step(k)) - 1.0) < 1e-14
-    st = classrank_stationary(k_max=64, tol=1e-13)
+    st = classrank_stationary(k_max=64)
     for k in range(9):
         assert abs(st[k] - gerth_pmf(k)) < 1e-6
 
@@ -475,10 +468,10 @@ def test_mc_block_peak_under_estimate(r):
     # the estimate _check_block weighs against MC_BUDGET bounds what a
     # block really allocates, so the budget fails before memory runs out
     for cfg in (ensemble_config("5a"), ensemble_config("7a")):
-        altsim._mc_block((cfg, r, 3, 0, 64))  # the cached tables and masks
+        altsim._mc_block((0, 64), cfg, r, 3)  # the cached tables and masks
         tracemalloc.start()
         try:
-            altsim._mc_block((cfg, r, 3, 0, altsim.MC_BLOCK))
+            altsim._mc_block((0, altsim.MC_BLOCK), cfg, r, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

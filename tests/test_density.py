@@ -11,7 +11,7 @@ from cnkit.density import (
     scan,
     wilson_ci,
 )
-from cnkit.numtheory import sieve_init
+from cnkit.numtheory import PrimeSieve, sieve_init
 
 
 @pytest.fixture(scope="module")
@@ -372,3 +372,15 @@ def test_serial_run_keeps_no_g_table(sieve, cold_g_table):
     assert monsky.redei_g_table(4000, sieve) is monsky._G_TABLE
     assert cold_g_table == [1000, 4000]
     assert not any(value is old for value in vars(density).values())
+
+
+def test_block_passes_leave_no_module_state(sieve):
+    # The sieve and the g table reach every block as arguments, so no
+    # pass binds a name in the module or leaves a table there.
+    before = dict(vars(density))
+    scan(5, 5000, sieve)
+    assert list(certified_table(6, 5000, sieve))
+    assert identity_check(5000, sieve)[2] == []
+    assert fourrank_census(5000, sieve).total
+    assert vars(density) == before
+    assert not any(isinstance(v, (PrimeSieve, np.ndarray)) for v in vars(density).values())

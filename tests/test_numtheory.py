@@ -349,14 +349,19 @@ def test_factor_squarefree_range_near_1e7(big_sieve, residue, modulus):
         assert max(len(ps) for _, ps in want) >= 4
 
 
-def test_map_blocks_order_and_initializer():
+def _tag(block, *shared):
+    return sum(block), shared
+
+
+def test_map_blocks_passes_shared_in_order():
     blocks = spans(0, 10, 3)
     assert blocks == [(0, 3), (3, 6), (6, 9), (9, 10)]
     assert spans(4, 4, 3) == []
-    seen = []
-    assert list(map_blocks(sum, blocks, 1, seen.append, ("init",))) == [3, 9, 15, 19]
-    assert seen == ["init"] * 4
-    assert list(map_blocks(sum, blocks, workers=2)) == [3, 9, 15, 19]
+    want = [(s, ("a", 2)) for s in (3, 9, 15, 19)]
+    assert list(map_blocks(_tag, blocks, 1, ("a", 2))) == want
+    assert list(map_blocks(_tag, blocks, workers=2, shared=("a", 2))) == want
+    assert list(map_blocks(_tag, blocks, workers=2)) == [(s, ()) for s in (3, 9, 15, 19)]
+    assert numtheory._SHARED == ()  # only the pool's workers held the arguments
 
 
 def test_map_blocks_pool_no_wider_than_the_work(monkeypatch):
