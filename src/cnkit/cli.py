@@ -10,9 +10,10 @@ Usage:
     cnkit classcheck --max-n 2000
 
 Exit codes: 0 success, 1 identity/assertion failure, 2 resource error,
-3 bad arguments.  Seeded commands are byte-reproducible for any worker
-count.  CSV schemas are fixed; JSON mirrors the same rows plus a meta
-object.
+3 bad arguments; `verify`, `scan` and `certify` exit 1 when a divisor sum
+differs from its determinant.  Seeded commands are byte-reproducible for
+any worker count.  CSV schemas are fixed; JSON mirrors the same rows
+plus a meta object.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import hashlib
 import io
 import json
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .altsim import (
@@ -35,7 +37,7 @@ from .altsim import (
 )
 from .classgroup import classgroup_oracle
 from .density import certified_table, identity_check, scan, wilson_ci
-from .monsky import build_twist, redei_g, row_matrix
+from .monsky import build_twist, redei_g, row_matrix, rows_for_residue
 from .numtheory import (
     ResourceLimitError,
     enumerate_squarefree,
@@ -63,8 +65,9 @@ def _config_hash(params: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _emit(header: list[str], rows: list[list], meta: dict, args) -> None:
-    """Serialize rows as CSV or JSON with identical numeric values."""
+def _emit(header: list[str], rows: Iterable[list], meta: dict, args) -> None:
+    """Serialize rows, read once, as CSV or JSON with identical numeric
+    values."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -134,20 +137,23 @@ def cmd_scan(args) -> int:
         rows.append([metric, count, total, freq, lo, hi])
     header = ["metric", "count", "total", "frequency", "ci_low", "ci_high"]
     _emit(header, rows, _meta(args, max_n=args.max_n, residue=args.residue), args)
-    if rep.identity_mismatches or rep.sel3_violations:
-        return EXIT_FAILED
-    return EXIT_OK
+    return _scan_status(rep)
 
 
 def cmd_certify(args) -> int:
     sieve = sieve_init(max(2, args.max_n))
-    rows = [
-        [c.n, c.residue, c.row, c.rank3, c.value]
-        for c in certified_table(args.residue, args.max_n, sieve)
-    ]
+    rep = certified_table(args.residue, args.max_n, sieve)
+    labels = rows_for_residue(args.residue)
+    columns = (rep.certified[name].tolist() for name in ("n", "row", "rank3"))
+    rows = ([n, args.residue, labels[k], r3, 1] for n, k, r3 in zip(*columns))
     header = ["n", "residue", "row", "selmer_rank3", "L_value"]
     _emit(header, rows, _meta(args, max_n=args.max_n, residue=args.residue), args)
-    return EXIT_OK
+    return _scan_status(rep)
+
+
+def _scan_status(rep) -> int:
+    """Exit 1 if the scan report breaks a standing assertion."""
+    return EXIT_FAILED if rep.identity_mismatches or rep.sel3_violations else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -230,7 +236,7 @@ def build_parser() -> _Parser:
         scale=True,
         workers=True,
     )
-    common(sub.add_parser("certify", help="stream certified congruent numbers"), residue=True, scale=True)
+    common(sub.add_parser("certify", help="list certified congruent numbers"), residue=True, scale=True)
     common(
         sub.add_parser("simulate", help="Monte Carlo corank distribution"),
         row=True,

@@ -6,23 +6,25 @@ runs merge associatively and any worker count produces byte-identical
 reports.  Every scanned n is also pushed through the row identities as a
 standing cross-check.
 
-`scan`, `certified_table` and `identity_check` share one numpy engine.
-g(d) for every squarefree d up to their limit is tabulated once per
-process (`monsky.redei_g_table`, which holds only the largest table
-built, a limit + 1-byte read-only array, until exit) and passed with the
-sieve to every block as an argument, so no run leaves state here.  Each
-block of `BLOCK` integers is factored once and yields its n as one stack
-per prime count r (`numtheory.same_r_stacks`), at most BLOCK / 8 n.  A
-stack gets its divisor sums from `lfun.divisor_sums_batch` (cut to
-`lfun.PAIR_BUDGET` pairs) and its determinant forms from one
-`monsky.twist_batch` and one `monsky.form_coranks` call, which builds
-the forms straight into row words (one uint8, uint16 or uint32 word a
-row, by the form's width) and ranks them together: every row form and
-the Selmer form for a scan, the Selmer form of the certified n for
-`certified_table` (the row is the first nonzero sum), and every row form
-for `identity_check`, which records each (n, row) whose two columns
-differ.  The columns share the factorization and the symbols but no
-form: a wrong g or a wrong row form shows as an identity mismatch.
+`scan`, `certified_table` and `identity_check` run one block function,
+`_scan_block`.  g(d) for every squarefree d up to their limit is
+tabulated once per process (`monsky.redei_g_table`, which holds only the
+largest table built, a limit + 1-byte read-only array, until exit) and
+passed with the sieve to every block as an argument, so no run leaves
+state here.  Each block of `BLOCK` integers is factored once and yields
+its n as one stack per prime count r (`numtheory.same_r_stacks`), at
+most BLOCK / 8 n.  A stack gets its divisor sums from
+`lfun.divisor_sums_batch` (cut to `lfun.PAIR_BUDGET` pairs) and its
+determinant forms from one `monsky.twist_batch` and one
+`monsky.form_coranks` call, which builds the forms straight into row
+words (one uint8, uint16 or uint32 word a row, by the form's width) and
+ranks every row form and the Selmer form together.  Every stack records
+each (n, row) whose two columns differ, so the identity is checked on
+every n that a scan counts, that `certified_table` certifies (the row is
+the first nonzero sum) and that `identity_check` (a scan of each of the
+six residues) reports.  The columns share the factorization and the
+symbols but no form: a wrong g or a wrong row form shows as an identity
+mismatch.
 
 The census has no divisor sums and ranks no form of its own: the 4-rank
 of n = 3 (mod 4) is the corank of the r x r g form of n, so each same-r
@@ -40,8 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
-
 import numpy as np
 
 from .lfun import divisor_sums_batch
@@ -59,7 +59,6 @@ __all__ = [
     "BLOCK",
     "DensityReport",
     "FourRankCensus",
-    "Certificate",
     "wilson_ci",
     "scan",
     "certified_table",
@@ -82,6 +81,10 @@ def wilson_ci(count: int, total: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+# A certified n, the index of its first nonzero row and its rank-3 flag.
+_CERTIFIED = np.dtype([("n", np.int64), ("row", np.uint8), ("rank3", np.bool_)])
+
+
 @dataclass
 class DensityReport:
     """Counts from one residue-class scan.
@@ -89,7 +92,9 @@ class DensityReport:
     For t in {5, 6, 7}: rank-3 and nonvanishing counts plus certified
     congruent numbers.  For t in {1, 2, 3}: the 2-Selmer rank histogram.
     identity_mismatches and sel3_violations are standing assertions and
-    must stay zero.
+    must stay zero; mismatches lists each (n, row, divisor sum,
+    determinant) that differs, sorted.  certified, sorted by n, is filled
+    by `certified_table` only; `==` and `merge` skip it.
     """
 
     residue: int
@@ -102,6 +107,10 @@ class DensityReport:
     selmer_rank_hist: dict[int, int] = field(default_factory=dict)
     identity_mismatches: int = 0
     sel3_violations: int = 0
+    mismatches: list[tuple[int, str, int, int]] = field(default_factory=list)
+    certified: np.ndarray = field(
+        default_factory=lambda: np.empty(0, _CERTIFIED), compare=False, repr=False
+    )
 
     def merge(self, other: "DensityReport") -> None:
         self.squarefree_count += other.squarefree_count
@@ -114,6 +123,7 @@ class DensityReport:
             self.selmer_rank_hist[k] = self.selmer_rank_hist.get(k, 0) + v
         self.identity_mismatches += other.identity_mismatches
         self.sel3_violations += other.sel3_violations
+        self.mismatches += other.mismatches
 
     def metrics(self) -> list[tuple[str, int, int]]:
         """(metric, count, total) triples in a fixed order for reports."""
@@ -143,17 +153,6 @@ class DensityReport:
         return out
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A certified congruent number and the row witnessing it."""
-
-    n: int
-    residue: int
-    row: str
-    rank3: bool
-    value: int
-
-
 @dataclass
 class FourRankCensus:
     """Histogram of class-group 4-ranks over n = 3 (mod 4)."""
@@ -171,32 +170,22 @@ class FourRankCensus:
         return self.counts.get(k, 0) / self.total if self.total else 0.0
 
 
-def _map_range(block, residue: int, limit: int, sieve: PrimeSieve, workers=1):
-    """block(args, sieve, gtable) over the BLOCK-long pieces of [1, limit]
-    for n = residue (mod 8), results in block order, gtable the g table of
-    the range; past the sieve limit `redei_g_table` raises ValueError
-    before any work."""
-    blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
-    return map_blocks(block, blocks, workers, (sieve, redei_g_table(limit, sieve)))
-
-
-def _block_stacks(args, sieve, gtable) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(ns, primes, divisor sums) of each same-r stack of one block."""
+def _scan_block(args, sieve, gtable, certify) -> DensityReport:
+    """The report of the squarefree n = residue (mod 8) in [lo, hi)."""
     residue, lo, hi = args
+    rep = DensityReport(residue=residue, limit=sieve.limit)
     for ns, stack in same_r_stacks(lo, hi, sieve, residue, 8):
-        yield ns, stack, divisor_sums_batch(residue, ns, stack, gtable)
-
-
-def _scan_block(args, sieve, gtable) -> DensityReport:
-    rep = DensityReport(residue=args[0], limit=sieve.limit)
-    for ns, stack, sums in _block_stacks(args, sieve, gtable):
         rep.squarefree_count += ns.size
-        _tally(rep, sums, *twist_batch(stack))
+        sums = divisor_sums_batch(residue, ns, stack, gtable)
+        _tally(rep, ns, sums, *twist_batch(stack), certify)
+    rep.mismatches.sort()
+    rep.certified = rep.certified.take(np.argsort(rep.certified["n"]))
     return rep
 
 
 def _tally(
-    rep: DensityReport, sums: np.ndarray, a: np.ndarray, y: np.ndarray, z: np.ndarray
+    rep: DensityReport, ns: np.ndarray, sums: np.ndarray,
+    a: np.ndarray, y: np.ndarray, z: np.ndarray, certify: bool,
 ) -> None:
     """Add a stack of same-r n, given by their (count, rows) divisor sums
     and their `twist_batch` arrays, to the report."""
@@ -205,7 +194,10 @@ def _tally(
     labels = rows if form in rows else rows + (form,)
     coranks = form_coranks(labels, a, y, z)
     dets = (coranks[: len(rows)] == 0).T
-    rep.identity_mismatches += int((sums != dets).any(axis=1).sum())
+    differ = sums != dets
+    rep.identity_mismatches += int(differ.any(axis=1).sum())
+    for k, j in zip(*np.nonzero(differ)):
+        rep.mismatches.append((int(ns[k]), rows[j], int(sums[k, j]), int(dets[k, j])))
     form_corank = coranks[labels.index(form)]
     if rep.residue in (5, 6, 7):
         r3 = form_corank == value
@@ -217,63 +209,57 @@ def _tally(
         nonzero = sums.any(axis=1)
         rep.certified_count += int(nonzero.sum())
         rep.joint_nonzero += int((nonzero & r3).sum())
+        if certify:
+            (hit,) = np.nonzero(nonzero)
+            found = np.empty(hit.size, _CERTIFIED)
+            found["n"], found["rank3"] = ns.take(hit), r3.take(hit)
+            found["row"] = sums.take(hit, axis=0).argmax(axis=1)
+            rep.certified = np.concatenate((rep.certified, found))
     else:
         _add_counts(rep.selmer_rank_hist, form_corank + value)
 
 
 def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> DensityReport:
     """Aggregate statistics over squarefree n = residue (mod 8), n <= limit."""
+    return _scan(residue, limit, sieve, workers, certify=False)
+
+
+def _scan(
+    residue: int, limit: int, sieve: PrimeSieve, workers: int, certify: bool
+) -> DensityReport:
+    """`scan` by blocks; past the sieve limit `redei_g_table` raises
+    ValueError before any work."""
     if residue not in (1, 2, 3, 5, 6, 7):
         raise ValueError(f"residue must be in {{1,2,3,5,6,7}}, got {residue}")
     rep = DensityReport(residue=residue, limit=limit)
-    for part in _map_range(_scan_block, residue, limit, sieve, workers=workers):
+    blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
+    shared = (sieve, redei_g_table(limit, sieve), certify)
+    certified = [rep.certified]
+    for part in map_blocks(_scan_block, blocks, workers, shared):
         rep.merge(part)
+        certified.append(part.certified)
+    rep.certified = np.concatenate(certified)
     return rep
 
 
-def _certify_block(args, sieve, gtable) -> list[Certificate]:
-    residue = args[0]
-    rows = rows_for_residue(residue)
-    form, value = SELMER_FORM[residue]
-    found = []
-    for ns, stack, sums in _block_stacks(args, sieve, gtable):
-        hit = sums.any(axis=1)
-        rank3 = form_coranks((form,), *twist_batch(stack[hit]))[0] == value
-        found += zip(ns[hit].tolist(), sums[hit].argmax(axis=1).tolist(), rank3.tolist())
-    return [Certificate(n, residue, rows[k], r3, 1) for n, k, r3 in sorted(found)]
+def certified_table(residue: int, limit: int, sieve: PrimeSieve) -> DensityReport:
+    """The scan of n = residue (mod 8) up to limit with its certified n.
 
-
-def certified_table(
-    residue: int, limit: int, sieve: PrimeSieve
-) -> Iterator[Certificate]:
-    """Certified congruent numbers n = residue (mod 8) up to limit.
-
-    Emits each n whose applicable divisor sum is nonzero, labeled by the
-    first witnessing row; by the nonvanishing criterion these n have
-    analytic rank one and are congruent numbers.
+    `certified` lists each n whose applicable divisor sum is nonzero,
+    labeled by the index of the first witnessing row in
+    `rows_for_residue(residue)`; by the nonvanishing criterion these n
+    have analytic rank one and are congruent numbers.
     """
     if residue not in (5, 6, 7):
         raise ValueError(f"certification applies to residues 5, 6, 7; got {residue}")
-    for part in _map_range(_certify_block, residue, limit, sieve):
-        yield from part
-
-
-def _verify_block(args, sieve, gtable) -> tuple[int, list[tuple[int, str, int, int]]]:
-    rows = rows_for_residue(args[0])
-    count, bad = 0, []
-    for ns, stack, sums in _block_stacks(args, sieve, gtable):
-        count += ns.size
-        dets = (form_coranks(rows, *twist_batch(stack)) == 0).T
-        for k, j in zip(*np.nonzero(sums != dets)):
-            bad.append((int(ns[k]), rows[j], int(sums[k, j]), int(dets[k, j])))
-    return count, bad
+    return _scan(residue, limit, sieve, workers=1, certify=True)
 
 
 def identity_check(
     limit: int, sieve: PrimeSieve
 ) -> tuple[int, int, list[tuple[int, str, int, int]]]:
     """Divisor sum against determinant for every row at every squarefree
-    n <= limit.
+    n <= limit: the mismatches of a `scan` of each residue.
 
     Returns the number of rows and of n checked, and the mismatches as
     (n, row, divisor sum, determinant), sorted by n and then by row.
@@ -281,10 +267,10 @@ def identity_check(
     rows_checked = n_checked = 0
     bad = []
     for residue in (1, 2, 3, 5, 6, 7):
-        for count, part in _map_range(_verify_block, residue, limit, sieve):
-            n_checked += count
-            rows_checked += count * len(rows_for_residue(residue))
-            bad += part
+        rep = scan(residue, limit, sieve)
+        n_checked += rep.squarefree_count
+        rows_checked += rep.squarefree_count * len(rows_for_residue(residue))
+        bad += rep.mismatches
     return rows_checked, n_checked, sorted(bad)
 
 

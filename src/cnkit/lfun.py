@@ -275,10 +275,10 @@ def _stack_sums(
         prods[:, 1 << i : 2 << i] = prods[:, : 1 << i] * primes[:, i : i + 1]
     # (d mod 16, g(d)) of every divisor d of n: keyed by whether d holds
     # the 2, d = prods or 2 * prods.
-    divs = {False: (prods & 15, table[prods] != 0)}
+    divs = {False: (prods & 15, table.take(prods) != 0)}
     even = residue % 2 == 0
     if even:
-        divs[True] = (2 * prods & 15, table[2 * prods] != 0)
+        divs[True] = (2 * prods & 15, table.take(2 * prods) != 0)
 
     # L of every odd divisor, by the recursion of `_Ctx.lval`: a strict
     # submask has a smaller popcount, so each step reads filled entries.

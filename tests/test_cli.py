@@ -150,6 +150,24 @@ def test_verify_mismatch_exits_one(sieve_2000, capsys, monkeypatch):
         assert int(r["sum_value"]) == 1 - int(r["det_value"])
 
 
+def test_certify_mismatch_exits_one(capsys, monkeypatch):
+    # The same flipped g-table entry fails certify: a certificate stands
+    # on a divisor sum that no longer equals its determinant.
+    import cnkit.density as density
+
+    real = density.redei_g_table
+
+    def flipped(*args, **kwargs):
+        table = real(*args, **kwargs).copy()
+        table[13] ^= 1
+        return table
+
+    monkeypatch.setattr(density, "redei_g_table", flipped)
+    code, out = run(["certify", "--residue", "5", "--max-n", "2000"], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "n,residue,row,selmer_rank3,L_value"
+
+
 def test_verify_reports_rows_checked(capsys):
     from cnkit.monsky import rows_for_residue
     from cnkit.numtheory import factor_small

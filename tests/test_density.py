@@ -30,59 +30,60 @@ def test_wilson_ci():
 
 
 def test_certified_table_small(sieve):
-    certs = list(certified_table(5, 40, sieve))
-    assert [c.n for c in certs] == [5, 13, 21, 29, 37]
-    assert all(c.rank3 and c.value == 1 for c in certs)
-    assert all(c.row == "5a" for c in certs)
-    certs7 = list(certified_table(7, 10, sieve))
-    assert [(c.n, c.row) for c in certs7] == [(7, "7a")]
-    certs6 = list(certified_table(6, 10, sieve))
-    assert [(c.n, c.row) for c in certs6] == [(6, "6")]
+    # Row indices point into rows_for_residue: 5a, 6 and 7a come first.
+    certs = certified_table(5, 40, sieve).certified
+    assert certs.tolist() == [(n, 0, True) for n in (5, 13, 21, 29, 37)]
+    assert certified_table(7, 10, sieve).certified.tolist() == [(7, 0, True)]
+    assert certified_table(6, 10, sieve).certified.tolist() == [(6, 0, True)]
+    assert certified_table(5, 0, sieve).certified.tolist() == []
     with pytest.raises(ValueError):
-        list(certified_table(1, 10, sieve))
+        certified_table(1, 10, sieve)
 
 
 @pytest.mark.parametrize("residue", [5, 6, 7])
 def test_certified_table_matches_scalar(sieve, residue):
     # Every squarefree n <= 1e5, n by n: the first row with a nonzero
     # scalar divisor sum (g computed, not tabulated) and rank3_indicator.
-    from cnkit.density import Certificate
     from cnkit.lfun import LCache, divisor_sum
     from cnkit.monsky import build_twist, rank3_indicator, rows_for_residue
     from cnkit.numtheory import try_factor_squarefree
 
     limit = 10 ** 5
+    rows = rows_for_residue(residue)
     cache = LCache()
     want = []
     for n in range(residue, limit + 1, 8):
         f = try_factor_squarefree(n, sieve)
         if f is None:
             continue
-        hits = [row for row in rows_for_residue(residue) if divisor_sum(row, f, cache)]
+        hits = [row for row in rows if divisor_sum(row, f, cache)]
         if hits:
-            want.append(Certificate(n, residue, hits[0], rank3_indicator(build_twist(f)), 1))
-    got = list(certified_table(residue, limit, sieve))
+            want.append((n, hits[0], rank3_indicator(build_twist(f))))
+    rep = certified_table(residue, limit, sieve)
+    got = [(n, rows[k], r3) for n, k, r3 in rep.certified.tolist()]
     assert got == want
-    assert {c.row for c in got} == set(rows_for_residue(residue))
-    assert all(type(c.n) is int and type(c.rank3) is bool for c in got)
+    assert {row for _, row, _ in got} == set(rows)
+    assert all(type(n) is int and type(r3) is bool for n, _, r3 in got)
+    assert rep.identity_mismatches == rep.sel3_violations == 0
 
 
 def test_certified_tables_consumed_in_turn():
-    # Two lazy tables over different ranges and sieves, interleaved, give
-    # what each gives alone: a serial run holds no state across blocks.
+    # A table over a sieve of its own limit and one over a larger sieve
+    # agree: a serial run holds no state across blocks or sieves.
     big, small = sieve_init(140_000), sieve_init(70_000)
-    want = list(certified_table(7, 140_000, big))
-    first = certified_table(7, 140_000, big)
-    head = [next(first)]
-    assert list(certified_table(5, 70_000, small)) == list(certified_table(5, 70_000, big))
-    assert head + list(first) == want
+    want = certified_table(5, 70_000, big).certified
+    assert want.size
+    assert np.array_equal(certified_table(5, 70_000, small).certified, want)
 
 
 def test_certified_subset_of_rank3(sieve):
+    # The table's report is the scan's, with its certified n attached.
     rep = scan(5, 20000, sieve)
-    certs = list(certified_table(5, 20000, sieve))
-    assert len(certs) == rep.certified_count
-    assert all(c.rank3 for c in certs)
+    table = certified_table(5, 20000, sieve)
+    assert table == rep and rep.certified.size == 0
+    assert table.certified.size == rep.certified_count
+    assert table.certified["rank3"].all()
+    assert np.all(np.diff(table.certified["n"]) > 0)
     assert rep.certified_count <= rep.rank3_count
 
 
@@ -152,7 +153,7 @@ def test_scan_errors(sieve):
 def test_range_functions_raise_past_the_sieve_limit(sieve):
     # The scans check through `redei_g_table`, the census on its own.
     with pytest.raises(ValueError, match="exceeds sieve limit"):
-        list(certified_table(5, 10 ** 5 + 1, sieve))
+        certified_table(5, 10 ** 5 + 1, sieve)
     with pytest.raises(ValueError, match="exceeds sieve limit"):
         identity_check(10 ** 5 + 1, sieve)
     with pytest.raises(ValueError, match="exceeds sieve limit"):
@@ -285,7 +286,7 @@ def test_block_partition_independence(monkeypatch):
 
     def results():
         return (
-            [list(certified_table(residue, limit, sieve)) for residue in (5, 6, 7)],
+            [certified_table(residue, limit, sieve).certified.tolist() for residue in (5, 6, 7)],
             identity_check(limit, sieve),
             fourrank_census(limit, sieve),
             monsky._build_g_table(limit, sieve),
@@ -300,8 +301,9 @@ def test_block_partition_independence(monkeypatch):
 
 
 def test_one_factorization_per_block(sieve, monkeypatch, cold_g_table):
-    # A g-table build, a one-residue scan and the census each factor
-    # every block of the range once.
+    # A g-table build, a one-residue scan, a certified table and the
+    # census each factor every block of the range once, and the identity
+    # check once for each of its six residues.
     import cnkit.numtheory as numtheory
 
     calls = []
@@ -314,14 +316,17 @@ def test_one_factorization_per_block(sieve, monkeypatch, cold_g_table):
     monkeypatch.setattr(numtheory, "_factor_range", counting)
     limit = sieve.limit
     blocks = -(-limit // density.BLOCK)
-    for run in (
-        lambda: monsky.redei_g_table(limit, sieve),
-        lambda: scan(5, limit, sieve),
-        lambda: fourrank_census(limit, sieve),
+    assert blocks == 2
+    for run, passes in (
+        (lambda: monsky.redei_g_table(limit, sieve), 1),
+        (lambda: scan(5, limit, sieve), 1),
+        (lambda: certified_table(5, limit, sieve), 1),
+        (lambda: identity_check(limit, sieve), 6),
+        (lambda: fourrank_census(limit, sieve), 1),
     ):
         calls.clear()
         run()
-        assert len(calls) == blocks == 2
+        assert len(calls) == passes * blocks
 
 
 @pytest.mark.parametrize("residue", [2, 5, 6, 7])
@@ -355,7 +360,7 @@ def test_scan_round_builds_one_g_table(sieve, cold_g_table):
     # residues, certification and the identity check.
     limit = 70_000  # two blocks, so that two workers start a pool
     reports = [scan(residue, limit, sieve) for residue in (5, 6, 7)]
-    assert list(certified_table(5, limit, sieve))
+    assert certified_table(5, limit, sieve).certified.size
     assert identity_check(limit, sieve)[2] == []
     assert cold_g_table == [limit]
     assert all(rep.identity_mismatches == 0 for rep in reports)
@@ -379,7 +384,7 @@ def test_block_passes_leave_no_module_state(sieve):
     # pass binds a name in the module or leaves a table there.
     before = dict(vars(density))
     scan(5, 5000, sieve)
-    assert list(certified_table(6, 5000, sieve))
+    assert certified_table(6, 5000, sieve).certified.size
     assert identity_check(5000, sieve)[2] == []
     assert fourrank_census(5000, sieve).total
     assert vars(density) == before
