@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 from collections.abc import Iterable
+from contextlib import nullcontext
 
 from . import __version__
 from .altsim import (
@@ -39,6 +39,7 @@ from .classgroup import classgroup_oracle
 from .density import certified_table, identity_check, scan, wilson_ci
 from .monsky import build_twist, redei_g, row_matrix, rows_for_residue
 from .numtheory import (
+    BLOCK,
     ResourceLimitError,
     enumerate_squarefree,
     factor_squarefree,
@@ -67,31 +68,15 @@ def _config_hash(params: dict) -> str:
 
 def _emit(header: list[str], rows: Iterable[list], meta: dict, args) -> None:
     """Serialize rows, read once, as CSV or JSON with identical numeric
-    values."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_text(v) for v in row])
-        payload = buf.getvalue()
-    else:
-        payload = (
-            json.dumps(
-                {
-                    "meta": meta,
-                    "rows": [dict(zip(header, row)) for row in rows],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    values: CSV a row at a time as the rows come, JSON as one document."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_text(v) for v in row] for row in rows)
+        else:
+            document = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
+            fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _text(v) -> str:
@@ -144,8 +129,13 @@ def cmd_certify(args) -> int:
     sieve = sieve_init(max(2, args.max_n))
     rep = certified_table(args.residue, args.max_n, sieve)
     labels = rows_for_residue(args.residue)
-    columns = (rep.certified[name].tolist() for name in ("n", "row", "rank3"))
-    rows = ([n, args.residue, labels[k], r3, 1] for n, k, r3 in zip(*columns))
+    # Read a BLOCK of records at a time, so that no Python list holds them all.
+    cert = rep.certified
+    rows = (
+        [n, args.residue, labels[k], r3, 1]
+        for lo in range(0, cert.size, BLOCK)
+        for n, k, r3 in cert[lo : lo + BLOCK].tolist()
+    )
     header = ["n", "residue", "row", "selmer_rank3", "L_value"]
     _emit(header, rows, _meta(args, max_n=args.max_n, residue=args.residue), args)
     return _scan_status(rep)

@@ -33,9 +33,10 @@ ranking (`monsky._redei_coranks`, one uint8 word a row up to r = 8).
 
 The block pass has no integer division and no sum across a short axis:
 the factorization divides by the sieve's smallest prime factor in exact
-float64, the stacks are slices of one stable sort by r, the twist reads
-p mod 4 and p mod 8 from low bits and XORs its diagonal from A's
-columns, and the 4-rank and Selmer-rank histograms are `np.bincount`s.
+float64 and takes the stack of each prime count r once, at exact size,
+from its table of primes; the twist reads p mod 4 and p mod 8 from low
+bits and XORs its diagonal from A's columns; and the 4-rank and
+Selmer-rank histograms are `np.bincount`s.
 """
 
 from __future__ import annotations

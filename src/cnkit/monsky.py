@@ -146,7 +146,7 @@ def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape
-    low = primes & 7  # read once: a `same_r_stacks` stack is a strided slice
+    low = primes & 7
     y = ((low & 3) == 3).view(np.uint8)
     z = ((low == 3) | (low == 5)).view(np.uint8)
     i, j, ii = _pair_indices(r)

@@ -3,11 +3,14 @@
 Everything downstream consumes bits produced here: Legendre/Jacobi
 symbols in additive (F2) form, and squarefree integers together with
 their ordered odd prime factors.  Both come n by n (the reference) or in
-bulk as numpy arrays (`factor_squarefree_range`, `legendre_plus_bulk`).
+bulk as numpy arrays (`same_r_stacks`, `legendre_plus_bulk`).
 One n is factored by trial division (`factor_small`); a range is
 factored a block at a time from the smallest-prime-factor table of a
 `PrimeSieve`, which serves only that bulk pass, with bit operations and
-exact float64 quotients instead of integer division.  The bulk symbols are
+exact float64 quotients instead of integer division.  The pass writes
+each n's primes straight into its stack of exact size (count, r), with
+no padded row per n; `factor_squarefree_range` and `enumerate_squarefree`
+merge the stacks back into the order of n.  The bulk symbols are
 one lookup in a table of quadratic characters modulo every odd prime
 below a power of two, built once per process and capped at
 `QR_TABLE_CAP`.
@@ -70,7 +73,7 @@ DEFAULT_SIEVE_BUDGET = 2 ** 32  # bytes
 @dataclass(frozen=True)
 class PrimeSieve:
     """Smallest-prime-factor table for 2 <= m <= limit, read by the bulk
-    factorization of a range (`factor_squarefree_range`).
+    factorization of a range (`same_r_stacks`).
 
     spf[m] is the smallest prime factor of m; spf[p] == p exactly for
     primes.  Immutable after construction and safe to share between
@@ -155,23 +158,32 @@ def factor_squarefree_range(
 
     Returns (ns, primes): ns ascending, and row k of the (count, r_max)
     int64 array primes holds the odd primes of ns[k] ascending, zero
-    padded on the right.  See `_factor_range` for the pass itself.
+    padded on the right.  A view of the same-r stacks of `_factor_range`,
+    merged back into the order of n.
     """
-    ns, primes, _ = _factor_range(lo, hi, sieve, residue, modulus)
+    stacks = _factor_range(lo, hi, sieve, residue, modulus)
+    ns = np.sort(np.concatenate([s for s, _ in stacks] or [np.empty(0, np.int64)]))
+    r_max = stacks[-1][1].shape[1] if stacks else 0
+    primes = np.zeros((ns.size, r_max), dtype=np.int64)
+    for s, stack in stacks:
+        primes[np.searchsorted(ns, s), : stack.shape[1]] = stack
     return ns, primes
 
 
 def _factor_range(
     lo: int, hi: int, sieve: PrimeSieve, residue: int, modulus: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`factor_squarefree_range`, with the uint8 prime count r of each n.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`same_r_stacks`: the one factorization pass.
 
     The powers of 2 are read from n & 3 and taken out by one shift.  Then
     every n still being divided loses p = spf[m] in the same pass, with no
     integer division and no remainder: the quotient q = m / p is a float64
     division, exact because p divides m and m <= 2**30 < 2**53 under the
     sieve budget, and spf[q], which the next step reads anyway, equals p
-    exactly when p^2 divides m.  r is counted as the columns are written.
+    exactly when p^2 divides m.  Step j writes its primes into row j of an
+    (r_max, count) table, and r is counted as the rows are written, so the
+    stack of prime count r is the table's first r rows taken once at its
+    n, ascending, and transposed.
     """
     if hi - 1 > sieve.limit:
         raise ValueError(f"range end {hi - 1} exceeds sieve limit {sieve.limit}")
@@ -185,24 +197,27 @@ def _factor_range(
     m = m[idx]
     spf = sieve.spf
     p = spf[m]
-    cols = []
+    steps = []
     while idx.size:
         q = (m / p).astype(np.int64)
         spf_q = spf[q]
         bad = spf_q == p
         ok[idx[bad]] = False
-        cols.append((idx, p))
+        steps.append((idx, p))
         more = np.flatnonzero((q > 1) & ~bad)
         idx, m, p = idx[more], q[more], spf_q[more]
-    primes = np.zeros((ns.size, len(cols)), dtype=np.int64)
+    # Row j is written at every n with r > j, and no other entry is read.
+    table = np.empty((len(steps), ns.size), dtype=np.int64)
     r = np.zeros(ns.size, dtype=np.uint8)
-    for j, (idx, p) in enumerate(cols):
-        primes[idx, j] = p
+    for j, (idx, p) in enumerate(steps):
+        table[j, idx] = p
         r[idx] = j + 1
-    keep = np.flatnonzero(ok)
-    r = r[keep]
-    r_max = int(r.max(initial=0))
-    return ns[keep], primes[keep, :r_max], r
+    stacks = []
+    for rv in range(len(steps) + 1):
+        (at,) = np.nonzero(ok & (r == rv))
+        if at.size:
+            stacks.append((ns.take(at), table[:rv].take(at, axis=1).T))
+    return stacks
 
 
 def spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
@@ -218,27 +233,21 @@ def enumerate_squarefree(
     if limit > sieve.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     for lo, hi in spans(1, limit + 1, BLOCK):
-        ns, primes, r = _factor_range(lo, hi, sieve, residue, modulus)
-        for n, row, k in zip(ns.tolist(), primes.tolist(), r.tolist()):
-            yield FactoredInteger(n, tuple(row[:k]), n % 2 == 0)
+        ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
+        for n, row in zip(ns.tolist(), primes.tolist()):
+            yield FactoredInteger(n, tuple(filter(None, row)), n % 2 == 0)
 
 
 def same_r_stacks(
     lo: int, hi: int, sieve: PrimeSieve, residue: int = 0, modulus: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The squarefree n in [lo, hi) with n = residue (mod modulus), as
     same-r stacks: [lo, hi) is factored at once, and for each prime count
-    r in ascending order this yields (ns, primes), ns ascending and primes
-    their (count, r) array of odd primes.  One stable sort of the counts
-    groups the n; each stack is a slice of the sorted arrays."""
-    ns, primes, r = _factor_range(lo, hi, sieve, residue, modulus)
-    order = np.argsort(r, kind="stable")
-    ns, primes = ns.take(order), primes.take(order, axis=0)  # take: faster than fancy indexing
-    end = 0
-    for rv, count in enumerate(np.bincount(r).tolist()):
-        if count:
-            start, end = end, end + count
-            yield ns[start:end], primes[start:end, :rv]
+    r in ascending order there is one (ns, primes), ns ascending and
+    primes their exact-size (count, r) int64 array of odd primes, each row
+    ascending.  primes is the transpose of an (r, count) array, so each
+    column, one prime of every n, is contiguous."""
+    return _factor_range(lo, hi, sieve, residue, modulus)
 
 
 # Imported by the first pool run of `map_blocks`, so that importing cnkit

@@ -54,6 +54,17 @@ def test_certify_schema(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["5", "13", "21", "29", "37"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_certify_rows_read_in_blocks(capsys, monkeypatch, fmt):
+    # The certified records are read a BLOCK at a time; cut into blocks of
+    # 7 records they give the same output.
+    args = ["certify", "--residue", "7", "--max-n", "3000", "--format", fmt]
+    code, want = run(args, capsys)
+    assert code == 0 and len(want.splitlines()) > 30
+    monkeypatch.setattr(cli, "BLOCK", 7)
+    assert run(args, capsys) == (code, want)
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     args = ["simulate", "--row", "5a", "--r", "10", "--samples", "3000", "--seed", "7"]
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

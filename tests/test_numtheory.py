@@ -321,7 +321,7 @@ def test_qr_table_cap_covers_the_largest_default_sieve():
     assert QR_TABLE_CAP ** 2 >= DEFAULT_SIEVE_BUDGET // 4 == 2 ** 30
 
 
-@pytest.mark.parametrize("residue,modulus", [(0, 1), (3, 4), (5, 8), (6, 8), (7, 8)])
+@pytest.mark.parametrize("residue,modulus", [(0, 1), (3, 4), (5, 8), (6, 8), (7, 8), (1, 2)])
 def test_same_r_stacks_regroup_the_range(sieve, residue, modulus):
     # [lo, hi) crosses the edge of the first BLOCK.
     lo, hi = 50_000, 80_000
@@ -329,14 +329,20 @@ def test_same_r_stacks_regroup_the_range(sieve, residue, modulus):
     ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
     want = {n: tuple(p for p in row if p) for n, row in zip(ns.tolist(), primes.tolist())}
     assert min(want) < numtheory.BLOCK < max(want)
-    got, rs = {}, []
+    got, rs, padded = {}, [], np.zeros_like(primes)
     for stack_ns, stack in same_r_stacks(lo, hi, sieve, residue, modulus):
         assert stack.shape[0] == stack_ns.size > 0 and (stack != 0).all()
         assert (stack_ns[1:] > stack_ns[:-1]).all()
+        # Exact size: int64, one row per n and one column per odd prime.
+        assert stack.dtype == np.int64 and stack.ndim == 2
+        assert {len(want[n]) for n in stack_ns.tolist()} == {stack.shape[1]}
         got.update(zip(stack_ns.tolist(), map(tuple, stack.tolist())))
         rs.append(stack.shape[1])
+        padded[np.searchsorted(ns, stack_ns), : stack.shape[1]] = stack
     assert got == want
     assert rs == sorted(set(rs))  # one stack per r, in ascending r
+    # factor_squarefree_range is the stacks regrouped by n.
+    assert np.array_equal(padded, primes)
 
 
 @pytest.mark.parametrize("residue,modulus", [(3, 4), (5, 8), (1, 1)])
