@@ -25,6 +25,7 @@ import json
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
+from itertools import islice
 
 from . import __version__
 from .altsim import (
@@ -68,15 +69,24 @@ def _config_hash(params: dict) -> str:
 
 def _emit(header: list[str], rows: Iterable[list], meta: dict, args) -> None:
     """Serialize rows, read once, as CSV or JSON with identical numeric
-    values: CSV a row at a time as the rows come, JSON as one document."""
+    values, written as the rows come: CSV a row at a time; JSON, the text
+    of json.dumps({"meta": meta, "rows": [one dict per row]}, indent=2,
+    sort_keys=True), a `BLOCK` of rows at a time, each block dumped as a
+    list, indented one level deeper and stripped of its brackets (faster
+    than one dump per row, or of the whole)."""
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows([_text(v) for v in row] for row in rows)
-        else:
-            document = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
-            fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+            return
+        encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+        fh.write('{\n  "meta": ' + encode(meta).replace("\n", "\n  ") + ',\n  "rows": [')
+        rows, sep = iter(rows), ""
+        while block := [dict(zip(header, row)) for row in islice(rows, BLOCK)]:
+            fh.write(sep + encode(block).replace("\n", "\n  ")[1:-4])
+            sep = ","
+        fh.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
 def _text(v) -> str:

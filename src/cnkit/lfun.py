@@ -342,7 +342,7 @@ def divisor_sums_batch(
     """
     ns = np.asarray(ns, dtype=np.int64)
     out = np.empty((ns.size, len(rows_for_residue(residue))), dtype=bool)
-    if np.any(ns % 8 != residue):
+    if np.any((ns & 7) != residue):
         raise ValueError(f"every n must be {residue} (mod 8)")
     step = max(1, PAIR_BUDGET // 3 ** primes.shape[1])
     for lo in range(0, ns.size, step):

@@ -8,9 +8,11 @@ block matrices used to relate them, and the 2-Selmer rank formulas.
 
 The scalar code (`build_twist`, `redei_g_parts`, `row_matrix_parts`,
 `row_det`, `rank3_indicator`, `selmer_rank`) is the readable reference.
-Scans use its batched mirror: `twist_batch` builds (A, y, z) for a stack
-of same-r n as uint8 arrays, the symbols of A looked up in the
-quadratic-residue table of `numtheory.legendre_plus_bulk`;
+Scans use its batched mirror, in which A is held as it is in
+`F2Matrix.rows`, one row word per row: `twist_batch` builds (A, y, z)
+for a stack of same-r n, A as (count, r) row words packed once from its
+symbols (looked up in the quadratic-residue table of
+`numtheory.legendre_plus_bulk`), y and z as 0/1 uint8 arrays;
 `redei_g_table` tabulates g(d) for every squarefree d up to a limit once
 per process, factoring only odd d and ranking the forms of d and 2d
 together in A's row words (`_redei_coranks`, whose coranks at n = 3
@@ -18,9 +20,10 @@ together in A's row words (`_redei_coranks`, whose coranks at n = 3
 + 1-byte read-only array) until exit; and the eight row forms are data,
 one entry each of the `_ROW_FORMS` border table, from which
 `form_coranks` builds several forms of a stack of same-r twists straight
-into row words of the narrowest dtype that holds a row (A and A^T packed
-once, y, z and y + z taken as bits and as words; no m x m bit array) and
-ranks them with one `rank_batch` call.
+into row words of the narrowest dtype that holds a row (A^T taken from
+A's words by reciprocity, with no transpose packed; y, z and y + z
+taken as bits and as words; no m x m bit array) and ranks them with one
+`rank_batch` call.
 """
 
 from __future__ import annotations
@@ -124,9 +127,9 @@ def build_twist(f: FactoredInteger) -> TwistData:
 
 
 @cache
-def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """triu_indices(r, 1) and the diagonal arange(r), read-only."""
-    idx = (*np.triu_indices(r, 1), np.arange(r))
+def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """triu_indices(r, 1), read-only."""
+    idx = np.triu_indices(r, 1)
     for v in idx:
         v.setflags(write=False)
     return idx
@@ -136,28 +139,28 @@ def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """`build_twist` for a stack of squarefree n with r odd primes each.
 
     Row k of the (count, r) array primes holds the odd primes of the k-th
-    n, ascending.  Returns (a, y, z) as 0/1 uint8 arrays of shapes
-    (count, r, r), (count, r) and (count, r).  y and z come from the low
-    bits of p (p & 3 and p & 7), the symbols of A above the diagonal from
-    the quadratic-residue table of `legendre_plus_bulk` (so the smaller
-    prime of each pair must lie below `numtheory.QR_TABLE_CAP`, else
-    ValueError), those below by quadratic reciprocity
-    (A_ij + A_ji = y_i y_j), and the diagonal as the XOR of A's r columns.
+    n, ascending.  Returns (a, y, z): a the (count, r) row words of A in
+    `row_dtype(r)`, bit j of word i being A_ij as in `F2Matrix.rows`, and
+    y and z (count, r) 0/1 uint8 arrays.  y and z come from the low bits
+    of p (p & 3 and p & 7), the symbols of A above the diagonal from the
+    quadratic-residue table of `legendre_plus_bulk` (so the smaller prime
+    of each pair must lie below `numtheory.QR_TABLE_CAP`, else
+    ValueError), those below by quadratic reciprocity (A_ij + A_ji =
+    y_i y_j); the off-diagonal bits are packed once, and the diagonal
+    bit of each row is the parity of its popcount.
     """
     primes = np.asarray(primes, dtype=np.int64)
     count, r = primes.shape
     low = primes & 7
     y = ((low & 3) == 3).view(np.uint8)
     z = ((low == 3) | (low == 5)).view(np.uint8)
-    i, j, ii = _pair_indices(r)
+    i, j = _pair_indices(r)
     upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
-    a = np.zeros((count, r, r), dtype=np.uint8)
-    a[:, i, j] = upper
-    a[:, j, i] = upper ^ (y[:, i] & y[:, j])
-    diag = np.zeros((count, r), dtype=np.uint8)
-    for col in range(r):
-        diag ^= a[:, :, col]
-    a[:, ii, ii] = diag
+    bits = np.zeros((count, r, r), dtype=np.uint8)
+    bits[:, i, j] = upper
+    bits[:, j, i] = upper ^ (y[:, i] & y[:, j])
+    a = pack_rows(bits).reshape(count, r)  # one word a row
+    a |= (np.bitwise_count(a) & 1) << np.arange(r, dtype=a.dtype)
     return a, y, z
 
 
@@ -244,18 +247,18 @@ def _redei_coranks(d: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Coranks of the `redei_g_parts` forms of a stack of squarefree d,
     given the (A, z) of `twist_batch` for their odd parts (r primes each).
 
-    The r x r forms, in A's row words: for d = 1 (mod 4) bit 0 of row i
-    is z_i (a column permutation of [A without column 1 | z]); for d = 3
-    (mod 4) bit 0 is cleared and set in row 0 only, a pivot of its own,
-    so the corank is that of A without row and column 1 (`altsim.four_rank`);
+    The r x r forms are built in A's row words as `twist_batch` gives
+    them, with nothing packed: for d = 1 (mod 4) bit 0 of row i is z_i (a
+    column permutation of [A without column 1 | z]); for d = 3 (mod 4)
+    bit 0 is cleared and set in row 0 only, a pivot of its own, so the
+    corank is that of A without row and column 1 (`altsim.four_rank`);
     for even d, A + D_z.  One `rank_batch` call ranks them all; the 0 x 0
     forms of d = 1 and 2 have corank 0.
     """
-    count, r = z.shape
-    rows = pack_rows(a).reshape(count, r)  # one word a row
-    keep, flip, put = _redei_tables(r, rows.dtype)
+    r = z.shape[1]
+    keep, flip, put = _redei_tables(r, a.dtype)
     low = d & 3
-    rows &= keep.take(low, axis=0)
+    rows = a & keep.take(low, axis=0)
     rows ^= z * flip.take(low, axis=0) | put.take(low, axis=0)
     return r - rank_batch(rows[..., None])
 
@@ -351,12 +354,6 @@ _ROW_FORMS = {
 }
 
 
-def _form_size(row: str, r: int) -> int:
-    if row not in _ROW_FORMS:
-        raise ValueError(f"unknown row label {row!r}")
-    return 2 * r + len(_ROW_FORMS[row][1])
-
-
 def _words(bits: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """The (..., r) 0/1 array bits, r <= 64, as (...) words of dtype,
     bit j of a word from bits[..., j]: the one word of `pack_rows`, or
@@ -367,28 +364,33 @@ def _words(bits: np.ndarray, dtype: np.dtype) -> np.ndarray:
 def _form_words(
     labels: Sequence[str], a: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """The forms `labels` of a stack of same-r triples as (len(labels),
+    """The forms `labels` of a stack of same-r twists as (len(labels),
     count, m) row words of `row_dtype(m)`, m the largest form size, each
     form padded to m by an identity block.
 
     Row i < r is B + D_diag beside A^T, row r + i is A beside D_z, and
     each border column c adds bit c to the rows of its (top, bottom)
-    pair and a row of its own, the top vector beside the bottom one; B =
-    A + A^T is taken from A's words as given, reciprocity or not.  Forms
-    of r > 31 (m > 64) raise ValueError; an n that int64 holds has at
-    most 14 odd primes.
+    pair and a row of its own, the top vector beside the bottom one.  A
+    comes as the row words of `twist_batch` and is not packed again:
+    by reciprocity B = A + A^T is y y^T off the diagonal, so row i of B
+    is y_i times the word of y with bit i cleared, and A^T = A + B.
+    Forms of r > 31 (m > 64) raise ValueError; an n that int64 holds has
+    at most 14 odd primes.
     """
     count, r = y.shape
-    sizes = [_form_size(label, r) for label in labels]
+    if unknown := sorted(set(labels) - _ROW_FORMS.keys()):
+        raise ValueError(f"unknown row label {unknown[0]!r}")
+    sizes = [2 * r + len(_ROW_FORMS[label][1]) for label in labels]
     m = max(sizes)
     if m > 64:
         raise ValueError(f"forms wider than 64 columns are not supported (r = {r})")
     dtype = row_dtype(m)
     bit = np.left_shift(dtype.type(1), np.arange(m, dtype=dtype))
-    aw, tw = _words(a, dtype), _words(a.transpose(0, 2, 1), dtype)
     vec = {"y": y, "u": y ^ z}
     words = {"0": 0, **{name: _words(v, dtype) for name, v in vec.items()}}
-    top = (aw ^ tw) | (tw << r)
+    aw = a.astype(dtype)
+    b = y * words["y"][:, None] & ~bit[:r]
+    top = b | (aw ^ b) << r
     mid = aw | z * bit[r : 2 * r]
     out = np.empty((len(labels), count, m), dtype=dtype)
     for form, label, s in zip(out, labels, sizes):
@@ -409,12 +411,12 @@ def form_coranks(
 ) -> np.ndarray:
     """Coranks of the forms `labels` for a stack of same-r twists.
 
-    a, y and z are the (count, r, r), (count, r) and (count, r) 0/1 uint8
-    arrays of `twist_batch`.  Every form is built straight into row words
-    by `_form_words`, padded to the largest size m by an identity block,
-    which adds to the rank and leaves the corank alone, so all of them
-    are ranked in one `rank_batch` call.  Returns a (len(labels), count)
-    array; corank 0 means determinant 1.
+    a, y and z are the (count, r) row words of A and the (count, r) 0/1
+    uint8 arrays of `twist_batch`.  Every form is built straight into
+    row words by `_form_words`, padded to the largest size m by an
+    identity block, which adds to the rank and leaves the corank alone,
+    so all of them are ranked in one `rank_batch` call.  Returns a
+    (len(labels), count) array; corank 0 means determinant 1.
     """
     words = _form_words(labels, a, y, z)
     n_forms, count, m = words.shape

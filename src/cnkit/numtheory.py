@@ -9,11 +9,11 @@ factored a block at a time from the smallest-prime-factor table of a
 `PrimeSieve`, which serves only that bulk pass, with bit operations and
 exact float64 quotients instead of integer division.  The pass writes
 each n's primes straight into its stack of exact size (count, r), with
-no padded row per n; `factor_squarefree_range` and `enumerate_squarefree`
-merge the stacks back into the order of n.  The bulk symbols are
-one lookup in a table of quadratic characters modulo every odd prime
-below a power of two, built once per process and capped at
-`QR_TABLE_CAP`.
+no padded row per n, and every caller reads the stacks as they are;
+only `enumerate_squarefree`, which yields n by n, merges them back into
+the order of n.  The bulk symbols are one lookup in a table of
+quadratic characters modulo every odd prime below a power of two,
+built once per process and capped at `QR_TABLE_CAP`.
 
 Range work is cut one way: `spans` cuts a range into blocks of `BLOCK`
 integers, `map_blocks` maps over them, and `same_r_stacks` factors one
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from heapq import merge
 from typing import Iterator
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "sieve_init",
     "factor_squarefree",
     "try_factor_squarefree",
-    "factor_squarefree_range",
     "spans",
     "same_r_stacks",
     "map_blocks",
@@ -150,26 +150,6 @@ def try_factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger | None:
     return factor_small(n)
 
 
-def factor_squarefree_range(
-    lo: int, hi: int, sieve: PrimeSieve, residue: int = 0, modulus: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The squarefree n in [lo, hi) with n = residue (mod modulus), factored
-    together.
-
-    Returns (ns, primes): ns ascending, and row k of the (count, r_max)
-    int64 array primes holds the odd primes of ns[k] ascending, zero
-    padded on the right.  A view of the same-r stacks of `_factor_range`,
-    merged back into the order of n.
-    """
-    stacks = _factor_range(lo, hi, sieve, residue, modulus)
-    ns = np.sort(np.concatenate([s for s, _ in stacks] or [np.empty(0, np.int64)]))
-    r_max = stacks[-1][1].shape[1] if stacks else 0
-    primes = np.zeros((ns.size, r_max), dtype=np.int64)
-    for s, stack in stacks:
-        primes[np.searchsorted(ns, s), : stack.shape[1]] = stack
-    return ns, primes
-
-
 def _factor_range(
     lo: int, hi: int, sieve: PrimeSieve, residue: int, modulus: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -228,14 +208,15 @@ def spans(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
 def enumerate_squarefree(
     residue: int, modulus: int, limit: int, sieve: PrimeSieve
 ) -> Iterator[FactoredInteger]:
-    """All squarefree n <= limit with n == residue (mod modulus), ascending,
-    factored one `BLOCK` at a time by `factor_squarefree_range`."""
+    """All squarefree n <= limit with n == residue (mod modulus), ascending:
+    the `same_r_stacks` of one `BLOCK` at a time, each ascending in n,
+    merged by n."""
     if limit > sieve.limit:
         raise ValueError(f"limit {limit} exceeds sieve limit {sieve.limit}")
     for lo, hi in spans(1, limit + 1, BLOCK):
-        ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
-        for n, row in zip(ns.tolist(), primes.tolist()):
-            yield FactoredInteger(n, tuple(filter(None, row)), n % 2 == 0)
+        stacks = same_r_stacks(lo, hi, sieve, residue, modulus)
+        for n, row in merge(*(zip(ns.tolist(), ps.tolist()) for ns, ps in stacks)):
+            yield FactoredInteger(n, tuple(row), n % 2 == 0)
 
 
 def same_r_stacks(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -91,6 +92,23 @@ def test_csv_json_same_values(tmp_path):
         assert int(cr["corank"]) == jr["corank"]
         assert int(cr["count"]) == jr["count"]
         assert cr["frequency"] == repr(jr["frequency"])
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_json_streamed_equals_whole_document(tmp_path, monkeypatch, count):
+    # --format json is written a BLOCK of rows at a time (here also 2, so
+    # that 3 rows span two blocks), byte for byte the dump of the whole
+    # document: "meta" first, and "rows": [] when empty.
+    header = ["n", "label", "flag", "value"]
+    rows = [[7, "5a", True, 0.1], [-3, 'q"\n', False, 1e300], [0, "", True, float("nan")]][:count]
+    meta = {"version": "0", "command": "certify", "seed": None, "config_hash": "ab"}
+    document = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
+    want = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "rows.json"
+    for block in (cli.BLOCK, 2):
+        monkeypatch.setattr(cli, "BLOCK", block)
+        cli._emit(header, iter(rows), meta, argparse.Namespace(format="json", out=str(out)))
+        assert out.read_text() == want, block
 
 
 def test_scan_json_meta(capsys):

@@ -307,7 +307,7 @@ def test_one_factorization_per_block(sieve, monkeypatch, cold_g_table):
     import cnkit.numtheory as numtheory
 
     calls = []
-    factor = numtheory._factor_range  # the pass behind factor_squarefree_range
+    factor = numtheory._factor_range  # behind same_r_stacks, imported by name
 
     def counting(*args):
         calls.append(args)

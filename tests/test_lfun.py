@@ -4,9 +4,9 @@ import pytest
 from cnkit.lfun import LCache, divisor_sum, divisor_sums_batch, lvalue_parity, verify_rows
 from cnkit.monsky import redei_g, redei_g_table, rows_for_residue
 from cnkit.numtheory import (
-    FactoredInteger,
     factor_squarefree,
-    factor_squarefree_range,
+    factor_small,
+    same_r_stacks,
     sieve_init,
     try_factor_squarefree,
 )
@@ -199,20 +199,16 @@ def test_cache_consistency(sieve):
 def _batch_and_scalar(residue, limit, sieve, gtable):
     """Per same-r stack of squarefree n = residue (mod 8) up to limit:
     (r, batched sums, scalar sums), both as (count, rows) bool arrays.
-    The scalar sums read g from the same table, seeded into the cache."""
-    ns, primes = factor_squarefree_range(1, limit + 1, sieve, residue, 8)
-    r = (primes != 0).sum(axis=1)
+    The scalar sums factor n by trial division and read g from the same
+    table, seeded into the cache."""
     rows = rows_for_residue(residue)
     cache = LCache(gvals=dict(enumerate(gtable.tolist())))
-    for rv in np.unique(r).tolist():
-        pick = r == rv
-        stack = primes[pick, :rv]
-        got = divisor_sums_batch(residue, ns[pick], stack, gtable)
-        want = [
-            [divisor_sum(row, FactoredInteger(n, tuple(ps), n % 2 == 0), cache) for row in rows]
-            for n, ps in zip(ns[pick].tolist(), stack.tolist())
-        ]
-        yield rv, got, np.array(want, dtype=bool).reshape(got.shape)
+    for ns, stack in same_r_stacks(1, limit + 1, sieve, residue, 8):
+        got = divisor_sums_batch(residue, ns, stack, gtable)
+        fs = [factor_small(n) for n in ns.tolist()]
+        assert [f.odd_primes for f in fs] == list(map(tuple, stack.tolist()))
+        want = [[divisor_sum(row, f, cache) for row in rows] for f in fs]
+        yield stack.shape[1], got, np.array(want, dtype=bool).reshape(got.shape)
 
 
 @pytest.mark.parametrize("residue", [1, 2, 3, 5, 6, 7])

@@ -324,13 +324,18 @@ def twists(sieve):
     return groups
 
 
-def _stack(twists, r):
-    """(a, y, z) of same-r twists as the arrays of `twist_batch`."""
+def _stack(triples, r):
+    """(a, y, z) of same-r scalar (A, y, z) triples as the arrays of
+    `twist_batch`: A as its row words, y and z as bits."""
     return (
-        np.array([_bits(tw.a.rows, r) for tw in twists]).reshape(len(twists), r, r),
-        _bits([tw.y.bits for tw in twists], r),
-        _bits([tw.z.bits for tw in twists], r),
+        np.array([a.rows for a, _, _ in triples], dtype=row_dtype(r)).reshape(len(triples), r),
+        _bits([y.bits for _, y, _ in triples], r),
+        _bits([z.bits for _, _, z in triples], r),
     )
+
+
+def _triples(twists):
+    return [(tw.a, tw.y, tw.z) for tw in twists]
 
 
 @cache
@@ -352,7 +357,7 @@ def test_form_words_match_scalar_to_1e5(twists):
     assert sorted(by_r) == [0, 1, 2, 3, 4, 5]
     for r, group in by_r.items():
         m = 2 * r + 2
-        words = monsky._form_words(ROW_LABELS, *_stack(group, r))
+        words = monsky._form_words(ROW_LABELS, *_stack(_triples(group), r))
         assert words.shape == (len(ROW_LABELS), len(group), m)
         assert words.dtype == row_dtype(m)
         for label, form in zip(ROW_LABELS, words.tolist()):
@@ -361,27 +366,22 @@ def test_form_words_match_scalar_to_1e5(twists):
 
 
 def test_form_words_take_any_triple():
-    """No reciprocity is assumed: random (A, y, z) give the forms of
-    row_matrix_parts, up to 64 columns (r = 31), one word a row in every
-    word width; wider forms are refused."""
+    """Random reciprocal triples (`random_constrained_triple`) give the
+    forms of row_matrix_parts, up to 64 columns (r = 31), one word a row
+    in every word width; wider forms are refused."""
     rng = np.random.default_rng(20160328)
     for r in (*range(9), 15, 31):
-        count = 12 if r < 9 else 3
-        a = rng.integers(0, 2, size=(count, r, r), dtype=np.uint8)
-        y, z = rng.integers(0, 2, size=(2, count, r), dtype=np.uint8)
-        words = monsky._form_words(ROW_LABELS, a, y, z)
+        triples = [random_constrained_triple(rng, r) for _ in range(12 if r < 9 else 3)]
+        words = monsky._form_words(ROW_LABELS, *_stack(triples, r))
         m = 2 * r + 2
         assert words.dtype == row_dtype(m)
-        for k in range(count):
-            ak = F2Matrix.from_rows(a[k].tolist())
-            yk, zk = F2Vector.from_bits(y[k].tolist()), F2Vector.from_bits(z[k].tolist())
+        for k, (ak, yk, zk) in enumerate(triples):
             for label, form in zip(ROW_LABELS, words[:, k].tolist()):
                 assert form == _padded_rows(label, ak, yk, zk, m), (r, k, label)
-    a = rng.integers(0, 2, size=(1, 32, 32), dtype=np.uint8)
-    y = z = np.zeros((1, 32), dtype=np.uint8)
-    assert monsky._form_words(("1", "2"), a, y, z).dtype == np.uint64  # 64 columns
+    stack = _stack([random_constrained_triple(rng, 32)], 32)
+    assert monsky._form_words(("1", "2"), *stack).dtype == np.uint64  # 64 columns
     with pytest.raises(ValueError, match="64 columns"):
-        monsky._form_words(("1", "5a"), a, y, z)
+        monsky._form_words(("1", "5a"), *stack)
 
 
 def test_form_coranks_match_scalar_to_1e5(twists):
@@ -392,7 +392,7 @@ def test_form_coranks_match_scalar_to_1e5(twists):
     for (t, r), group in twists.items():
         rows = rows_for_residue(t)
         labels = tuple(dict.fromkeys(rows + ("1", "2")))
-        coranks = form_coranks(labels, *_stack(group, r))
+        coranks = form_coranks(labels, *_stack(_triples(group), r))
         for k, tw in enumerate(group):
             got = dict(zip(labels, coranks[:, k].tolist()))
             for row in rows:
@@ -404,7 +404,8 @@ def test_form_coranks_match_scalar_to_1e5(twists):
 
 def test_twist_batch_matches_build_twist_to_1e5(sieve):
     """twist_batch equals build_twist for every squarefree n <= 1e5, the
-    even n and r = 0 included, stacked by r."""
+    even n and r = 0 included, stacked by r: A as the row words of
+    `F2Matrix.rows` in row_dtype(r), y and z as bits."""
     groups = {}
     for n in range(1, 10 ** 5 + 1):
         f = try_factor_squarefree(n, sieve)
@@ -414,12 +415,11 @@ def test_twist_batch_matches_build_twist_to_1e5(sieve):
     for r, twists in groups.items():
         primes = np.array([tw.f.odd_primes for tw in twists], dtype=np.int64)
         a, y, z = twist_batch(primes.reshape(len(twists), r))
-        assert a.shape == (len(twists), r, r) and a.dtype == np.uint8
+        assert a.shape == (len(twists), r) and a.dtype == row_dtype(r)
         for k, tw in enumerate(twists):
-            assert a[k].tolist() == tw.a.tolist(), tw.f.n
+            assert a[k].tolist() == list(tw.a.rows), tw.f.n
             assert y[k].tolist() == tw.y.tolist(), tw.f.n
             assert z[k].tolist() == tw.z.tolist(), tw.f.n
-
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -427,7 +427,7 @@ def test_twist_batch_small_r(r):
     # r = 0 (n = 1, 2) has empty forms; r = 1 has no pair and a zero diagonal.
     primes = np.array([[3], [5], [7], [11]])[:, :r]
     a, y, z = twist_batch(primes)
-    assert a.shape == (4, r, r) and y.shape == z.shape == (4, r)
+    assert a.shape == y.shape == z.shape == (4, r)
     assert a.dtype == y.dtype == z.dtype == np.uint8
     assert not a.any()
     if r:
@@ -446,7 +446,7 @@ def test_twist_batch_rejects_pairs_above_the_table_cap(monkeypatch):
     tw = build_twist(FactoredInteger(n=7 * 32789, odd_primes=(7, 32789), is_even=False))
     a, y, z = twist_batch(np.array([tw.f.odd_primes]))
     got = (a[0].tolist(), y[0].tolist(), z[0].tolist())
-    assert got == (tw.a.tolist(), tw.y.tolist(), tw.z.tolist())
+    assert got == (list(tw.a.rows), tw.y.tolist(), tw.z.tolist())
 
 
 def test_redei_coranks_match_four_rank_to_1e5(sieve):
@@ -478,6 +478,30 @@ def test_redei_coranks_edges(sieve):
     a, _, z = twist_batch(np.array([[3, 5], [3, 13], [5, 13], [3, 7]]).repeat(2, axis=0))
     got = monsky._redei_coranks(d, a, z) == 0
     assert got.tolist() == [redei_g(factor_squarefree(int(n), sieve)) == 1 for n in d]
+
+
+@pytest.mark.parametrize("r", [6, 7, 8])
+def test_batch_paths_match_scalar_at_r_6_to_8(sieve, r):
+    """Seeded stacks of r distinct odd primes below 200 (products within
+    int64, past the r <= 5 of the 1e5 sweeps): twist_batch's A words are
+    build_twist's rows, every form_coranks label is the scalar corank of
+    row_matrix_parts, and _redei_coranks is four_rank at n = 3 (mod 4)."""
+    rng = np.random.default_rng(1603 + r)
+    odd_primes = [p for p in range(3, 200, 2) if sieve.is_prime(p)]
+    rows = np.sort([rng.choice(odd_primes, r, replace=False) for _ in range(40)], axis=1)
+    fs = [FactoredInteger(int(np.prod(row)), tuple(row.tolist()), False) for row in rows]
+    twists = [build_twist(f) for f in fs]
+    a, y, z = twist_batch(rows)
+    assert a.tolist() == [list(tw.a.rows) for tw in twists]
+    coranks = form_coranks(ROW_LABELS, a, y, z)
+    for k, tw in enumerate(twists):
+        want = [gf2.corank(row_matrix_parts(label, tw.a, tw.y, tw.z)) for label in ROW_LABELS]
+        assert coranks[:, k].tolist() == want, tw.f.n
+    ns = np.array([f.n for f in fs])
+    three = np.flatnonzero(ns % 4 == 3)
+    assert three.size
+    got = monsky._redei_coranks(ns, a, z)[three]
+    assert got.tolist() == [four_rank(fs[k]) for k in three]
 
 
 # The builder itself, out of reach of the `cold_g_table` counting patch.

@@ -16,7 +16,6 @@ from cnkit.numtheory import (
     enumerate_squarefree,
     factor_small,
     factor_squarefree,
-    factor_squarefree_range,
     is_square_class,
     jacobi,
     legendre,
@@ -223,9 +222,13 @@ def _scalar_range(lo, hi, residue=0, modulus=1):
 
 
 def _bulk_range(lo, hi, sieve, residue=0, modulus=1):
-    ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
-    assert ns.dtype == primes.dtype == np.int64 and len(ns) == len(primes)
-    return [(int(n), tuple(int(p) for p in row if p)) for n, row in zip(ns, primes)]
+    # The same-r stacks of the range (the factorization of a range),
+    # merged by n.
+    out = []
+    for ns, primes in same_r_stacks(lo, hi, sieve, residue, modulus):
+        assert ns.dtype == primes.dtype == np.int64 and len(ns) == len(primes)
+        out += zip(ns.tolist(), map(tuple, primes.tolist()))
+    return sorted(out)
 
 
 def test_factor_squarefree_range_matches_scalar(sieve):
@@ -234,11 +237,8 @@ def test_factor_squarefree_range_matches_scalar(sieve):
     got = _bulk_range(-2, sieve.limit + 1, sieve)
     assert got == _scalar_range(-2, sieve.limit + 1)
     assert len(got) == 60794
-    ns, primes = factor_squarefree_range(1, sieve.limit + 1, sieve)
-    assert primes.shape[1] == max(len(ps) for _, ps in got)
-    # Zero padding only on the right; the ascending order is checked above.
-    r = (primes != 0).sum(axis=1)
-    assert ((primes != 0) == (np.arange(primes.shape[1]) < r[:, None])).all()
+    rs = [primes.shape[1] for _, primes in same_r_stacks(1, sieve.limit + 1, sieve)]
+    assert rs == sorted({len(ps) for _, ps in got}) == [0, 1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize(
@@ -250,12 +250,11 @@ def test_factor_squarefree_range_slices(sieve, lo, hi, residue, modulus):
 
 
 def test_factor_squarefree_range_edges(sieve):
-    ns, primes = factor_squarefree_range(1, 3, sieve)
+    ((ns, primes),) = same_r_stacks(1, 3, sieve)
     assert ns.tolist() == [1, 2] and primes.shape == (2, 0)
-    ns, primes = factor_squarefree_range(1, 3, sieve, residue=3, modulus=4)
-    assert ns.size == 0 and primes.shape == (0, 0)
+    assert same_r_stacks(1, 3, sieve, residue=3, modulus=4) == []
     with pytest.raises(ValueError):
-        factor_squarefree_range(1, sieve.limit + 2, sieve)
+        same_r_stacks(1, sieve.limit + 2, sieve)
 
 
 def test_legendre_plus_bulk_matches_scalar(sieve):
@@ -326,10 +325,9 @@ def test_same_r_stacks_regroup_the_range(sieve, residue, modulus):
     # [lo, hi) crosses the edge of the first BLOCK.
     lo, hi = 50_000, 80_000
     assert lo < numtheory.BLOCK < hi
-    ns, primes = factor_squarefree_range(lo, hi, sieve, residue, modulus)
-    want = {n: tuple(p for p in row if p) for n, row in zip(ns.tolist(), primes.tolist())}
+    want = dict(_scalar_range(lo, hi, residue, modulus))
     assert min(want) < numtheory.BLOCK < max(want)
-    got, rs, padded = {}, [], np.zeros_like(primes)
+    got, rs = {}, []
     for stack_ns, stack in same_r_stacks(lo, hi, sieve, residue, modulus):
         assert stack.shape[0] == stack_ns.size > 0 and (stack != 0).all()
         assert (stack_ns[1:] > stack_ns[:-1]).all()
@@ -338,11 +336,8 @@ def test_same_r_stacks_regroup_the_range(sieve, residue, modulus):
         assert {len(want[n]) for n in stack_ns.tolist()} == {stack.shape[1]}
         got.update(zip(stack_ns.tolist(), map(tuple, stack.tolist())))
         rs.append(stack.shape[1])
-        padded[np.searchsorted(ns, stack_ns), : stack.shape[1]] = stack
     assert got == want
     assert rs == sorted(set(rs))  # one stack per r, in ascending r
-    # factor_squarefree_range is the stacks regrouped by n.
-    assert np.array_equal(padded, primes)
 
 
 @pytest.mark.parametrize("residue,modulus", [(3, 4), (5, 8), (1, 1)])
