@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -106,13 +106,6 @@ class AltConfig:
         )
 
 
-def _prod(xs: tuple[int, ...]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def _is_square(x: int) -> bool:
     return x > 0 and isqrt(x) ** 2 == x
 
@@ -141,7 +134,7 @@ def validate_config(cfg: AltConfig) -> None:
             ((rows[i] >> j) ^ (rows[j] >> i)) & 1 for i in range(t) for j in range(i)
         ) or any((rows[i] >> i) & 1 for i in range(t)):
             raise ValueError("B block must be alternating")
-    b1, b2 = _prod(cfg.q1), _prod(cfg.q2)
+    b1, b2 = prod(cfg.q1), prod(cfg.q2)
     if _is_square(b1) or _is_square(b2) or _is_square(-b1 * b2):
         raise ValueError(f"Q products violate the non-square condition: {b1}, {b2}")
     if _is_square(-b1) and _is_square(-b2):
@@ -498,6 +491,7 @@ def equivalence_check(
 # --- Monte Carlo over bit assignments --------------------------------------------
 
 MC_BLOCK = 4096
+MC_BLOCKS_MAX = 1 << 16  # blocks of one run: 268,435,456 samples
 MC_BUDGET = 2 ** 30  # bytes that one Monte Carlo block may take
 
 
@@ -767,13 +761,19 @@ def corank_distribution_mc(
     Samples are partitioned into fixed blocks with per-block RNG streams
     derived from (seed, block index), so results are bit-identical for
     any worker count.  Every field of cfg is used, and cfg is checked
-    with validate_config; r < 1 or seed < 0 raises ValueError and a block
-    over MC_BUDGET raises ResourceLimitError.
+    with validate_config; r < 1 or seed < 0 raises ValueError, and a
+    block over MC_BUDGET or more than MC_BLOCKS_MAX blocks raise
+    ResourceLimitError.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if samples > MC_BLOCKS_MAX * MC_BLOCK:
+        raise ResourceLimitError(
+            f"{samples} samples take more than {MC_BLOCKS_MAX} blocks of {MC_BLOCK}, "
+            f"over the bound of {MC_BLOCKS_MAX * MC_BLOCK} samples"
+        )
     validate_config(cfg)
     count = min(MC_BLOCK, samples)
     _check_block(r, count, _mc_block_bytes(r, cfg.t, count))

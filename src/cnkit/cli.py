@@ -187,7 +187,7 @@ def cmd_markov(args) -> int:
 def cmd_alpha(args) -> int:
     if args.k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {args.k_max}")
-    rows = [[k, alpha(k)] for k in range(args.k_max + 1)]
+    rows = ([k, alpha(k)] for k in range(args.k_max + 1))
     _emit(["k", "alpha"], rows, _meta(args, k_max=args.k_max), args)
     return EXIT_OK
 
@@ -271,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             parser.error(f"argument --workers: must be at least 1, got {args.workers}")
+        if getattr(args, "max_n", 0) < 0:
+            parser.error(f"argument --max-n: must be nonnegative, got {args.max_n}")
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

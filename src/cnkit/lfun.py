@@ -128,16 +128,14 @@ class _Ctx:
         return total
 
 
-def lvalue_parity(
-    f: FactoredInteger, cache: LCache, twist: TwistData | None = None
-) -> int:
+def lvalue_parity(f: FactoredInteger, cache: LCache) -> int:
     """The recursive parity bit: 1 at n=1, the divisor recursion on
     n = 1 (mod 8), and 0 elsewhere."""
     if f.n == 1:
         return 1
     if f.is_even or f.n % 8 != 1:
         return 0
-    return _Ctx(f, cache, twist).lval((1 << f.r) - 1)
+    return _Ctx(f, cache, None).lval((1 << f.r) - 1)
 
 
 def _single_sum(ctx: _Ctx, f: FactoredInteger, want_mod: int, modulus: int) -> int:

@@ -6,7 +6,8 @@ their ordered odd prime factors.  Both come n by n (the reference) or in
 bulk as numpy arrays (`same_r_stacks`, `legendre_plus_bulk`).
 One n is factored by trial division (`factor_small`); a range is
 factored a block at a time from the smallest-prime-factor table of a
-`PrimeSieve`, which serves only that bulk pass, with bit operations and
+`PrimeSieve`, which holds odd m only (the pass takes the powers of 2
+out first) and serves only that bulk pass, with bit operations and
 exact float64 quotients instead of integer division.  The pass writes
 each n's primes straight into its stack of exact size (count, r), with
 no padded row per n, and every caller reads the stacks as they are;
@@ -61,30 +62,29 @@ class NotSquarefreeError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a requested table would exceed the memory budget."""
+    """Raised when a request would exceed a stated limit or memory budget."""
 
 
 BLOCK = 1 << 16  # integers per block: the one width a range is cut by
 
-# Default budget for the smallest-prime-factor table (uint32 entries).
-DEFAULT_SIEVE_BUDGET = 2 ** 32  # bytes
+# The largest sieve limit: `QR_TABLE_CAP` and the exact float64 quotient
+# of `_factor_range` rely on n <= 2**30 - 1.
+SIEVE_LIMIT = 2 ** 30 - 1
 
 
 @dataclass(frozen=True)
 class PrimeSieve:
-    """Smallest-prime-factor table for 2 <= m <= limit, read by the bulk
-    factorization of a range (`same_r_stacks`).
+    """Smallest-prime-factor table for the odd m <= limit, read by the
+    bulk factorization of a range (`same_r_stacks`).
 
-    spf[m] is the smallest prime factor of m; spf[p] == p exactly for
-    primes.  Immutable after construction and safe to share between
-    workers.  `limit` also bounds the n the scalar functions accept.
+    spf[k] is the smallest prime factor of 2k + 1, with spf[0] == 1, so
+    spf[p >> 1] == p exactly for odd primes.  Immutable after
+    construction and safe to share between workers.  `limit` also bounds
+    the n the scalar functions accept.
     """
 
     limit: int
-    spf: np.ndarray  # uint32, length limit + 1
-
-    def is_prime(self, m: int) -> bool:
-        return m >= 2 and int(self.spf[m]) == m
+    spf: np.ndarray  # uint32, length (limit + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,19 @@ class FactoredInteger:
 
 
 def sieve_init(limit: int) -> PrimeSieve:
-    """Build the smallest-prime-factor table for the bulk factorization of
-    ranges up to limit, within `DEFAULT_SIEVE_BUDGET` bytes."""
+    """Build the odd smallest-prime-factor table for the bulk factorization
+    of ranges up to limit, at most `SIEVE_LIMIT`, one uint32 per odd m."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if 4 * (limit + 1) > DEFAULT_SIEVE_BUDGET:
-        raise ResourceLimitError(
-            f"sieve to {limit} needs {4 * (limit + 1)} bytes, "
-            f"budget is {DEFAULT_SIEVE_BUDGET}"
-        )
-    # Every m starts as its own factor; each prime p lowers the odd
-    # multiples from p^2 on, and smaller primes, struck first, stay.
-    spf = np.arange(limit + 1, dtype=np.uint32)
-    spf[4::2] = 2
+    if limit > SIEVE_LIMIT:
+        raise ResourceLimitError(f"sieve limit {limit} is over the largest, {SIEVE_LIMIT}")
+    # Every odd m starts as its own factor; each odd prime p lowers its
+    # odd multiples from p^2 on (a stride of p in k is 2p in m), and
+    # smaller primes, struck first, stay.
+    spf = np.arange(1, limit + 1, 2, dtype=np.uint32)
     for p in range(3, math.isqrt(limit) + 1, 2):
-        if spf[p] == p:
-            strike = spf[p * p :: 2 * p]
+        if spf[p >> 1] == p:
+            strike = spf[p * p >> 1 :: p]
             np.minimum(strike, p, out=strike)
     return PrimeSieve(limit=limit, spf=spf)
 
@@ -155,12 +152,14 @@ def _factor_range(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """`same_r_stacks`: the one factorization pass.
 
-    The powers of 2 are read from n & 3 and taken out by one shift.  Then
-    every n still being divided loses p = spf[m] in the same pass, with no
-    integer division and no remainder: the quotient q = m / p is a float64
-    division, exact because p divides m and m <= 2**30 < 2**53 under the
-    sieve budget, and spf[q], which the next step reads anyway, equals p
-    exactly when p^2 divides m.  Step j writes its primes into row j of an
+    The powers of 2 are read from n & 3 and taken out by one shift, so
+    every m left is odd, as is every quotient of it, and is read in the
+    odd table at m >> 1.  Then every n still being divided loses the
+    smallest prime factor p of its m in the same pass, with no integer
+    division and no remainder: the quotient q = m / p is a float64
+    division, exact because p divides m and m <= SIEVE_LIMIT < 2**53, and
+    the factor of q, which the next step reads anyway, equals p exactly
+    when p^2 divides m.  Step j writes its primes into row j of an
     (r_max, count) table, and r is counted as the rows are written, so the
     stack of prime count r is the table's first r rows taken once at its
     n, ascending, and transposed.
@@ -172,15 +171,16 @@ def _factor_range(
     low = ns & 3
     ok = low != 0  # n not divisible by 4
     m = ns >> (low == 2)
-    # idx: the n still being divided; m: what is left of each; p: spf[m]
+    # idx: the n still being divided; m: what is left of each; p: its
+    # smallest prime factor
     idx = np.flatnonzero(ok & (m > 1))
     m = m[idx]
     spf = sieve.spf
-    p = spf[m]
+    p = spf[m >> 1]
     steps = []
     while idx.size:
         q = (m / p).astype(np.int64)
-        spf_q = spf[q]
+        spf_q = spf[q >> 1]
         bad = spf_q == p
         ok[idx[bad]] = False
         steps.append((idx, p))
@@ -311,8 +311,8 @@ def legendre_plus(d: int, p: int) -> int:
 
 
 # Moduli of `legendre_plus_bulk` lie below this cap.  It covers the
-# smaller prime of every pair of an n in the largest sieve the default
-# budget allows (n <= 2**30), and its table holds about 54 MB.
+# smaller prime of every pair of an n in the largest sieve
+# (n <= SIEVE_LIMIT < 2**30), and its table holds about 54 MB.
 QR_TABLE_CAP = 2 ** 15
 
 # (bound, offset, bits): the additive quadratic characters modulo every
@@ -328,9 +328,8 @@ def _qr_table(p_max: int) -> tuple[int, np.ndarray, np.ndarray]:
     table = _QR_TABLE
     if p_max >= table[0]:
         bound = 1 << p_max.bit_length()
-        is_odd_prime = sieve_init(bound - 1).spf == np.arange(bound)
-        is_odd_prime[:3] = False
-        primes = np.flatnonzero(is_odd_prime)
+        odd = np.arange(1, bound, 2)
+        primes = odd[sieve_init(bound - 1).spf == odd][1:]
         starts = np.cumsum(primes) - primes
         offset = np.full(bound, -1, dtype=np.int64)
         offset[primes] = starts

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -296,6 +297,67 @@ def test_workers_below_one_rejected(capsys, monkeypatch):
 
     monkeypatch.setattr(numtheory, "ProcessPoolExecutor", no_pool)
     assert main(["scan", "--residue", "5", "--max-n", "100", "--workers", "64"]) == 0
+
+
+def test_negative_max_n_rejected(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("a sieve was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "sieve_init", no_sieve)
+        for args in (
+            ["verify"],
+            ["scan", "--residue", "5"],
+            ["certify", "--residue", "5"],
+            ["classcheck"],
+        ):
+            assert main(args + ["--max-n", "-5"]) == 3, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--max-n: must be nonnegative, got -5" in captured.err
+    # --max-n 0 stays valid: a header and no rows.
+    for args, header in (
+        (["verify"], "n,row,sum_value,det_value,matrix"),
+        (["scan", "--residue", "5"], "metric,count,total,frequency,ci_low,ci_high"),
+        (["certify", "--residue", "5"], "n,residue,row,selmer_rank3,L_value"),
+        (["classcheck"], "n,redei_g,four_rank,class_number"),
+    ):
+        code, out = run(args + ["--max-n", "0"], capsys)
+        assert code == 0 and out.splitlines()[0] == header, args
+
+
+def test_sieve_past_the_limit_exits_two(capsys):
+    # 2**30 + 1 is refused before the table is allocated.
+    assert main(["scan", "--residue", "5", "--max-n", "1073741825"]) == 2
+    assert "resource error: sieve limit 1073741825" in capsys.readouterr().err
+
+
+def test_simulate_samples_bounded_before_blocks(capsys, monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("blocks were built")
+
+    monkeypatch.setattr(altsim, "spans", no_blocks)
+    monkeypatch.setattr(altsim, "map_blocks", no_blocks)
+    cfg = altsim.ensemble_config("5a")
+    with pytest.raises(altsim.ResourceLimitError, match="over the bound of 268435456 samples"):
+        altsim.corank_distribution_mc(cfg, r=30, samples=10 ** 15, seed=1)
+    args = ["simulate", "--row", "5a", "--samples", str(10 ** 15), "--workers", "2"]
+    assert main(args) == 2
+    assert "resource error" in capsys.readouterr().err
+
+
+def test_alpha_rows_streamed(tmp_path):
+    # The rows are written as they come: the peak stays far below the
+    # 22.8 MB that a list of all 200,001 rows took.
+    out = tmp_path / "alpha.csv"
+    tracemalloc.start()
+    try:
+        assert main(["alpha", "--k-max", "200000", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert len(out.read_text().splitlines()) == 200_002
 
 
 def test_alpha_and_markov_past_the_float_range(capsys):

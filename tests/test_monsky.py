@@ -30,6 +30,7 @@ from cnkit.monsky import (
 from cnkit.numtheory import (
     FactoredInteger,
     enumerate_squarefree,
+    factor_small,
     factor_squarefree,
     legendre_plus,
     sieve_init,
@@ -481,13 +482,13 @@ def test_redei_coranks_edges(sieve):
 
 
 @pytest.mark.parametrize("r", [6, 7, 8])
-def test_batch_paths_match_scalar_at_r_6_to_8(sieve, r):
+def test_batch_paths_match_scalar_at_r_6_to_8(r):
     """Seeded stacks of r distinct odd primes below 200 (products within
     int64, past the r <= 5 of the 1e5 sweeps): twist_batch's A words are
     build_twist's rows, every form_coranks label is the scalar corank of
     row_matrix_parts, and _redei_coranks is four_rank at n = 3 (mod 4)."""
     rng = np.random.default_rng(1603 + r)
-    odd_primes = [p for p in range(3, 200, 2) if sieve.is_prime(p)]
+    odd_primes = [p for p in range(3, 200, 2) if (f := factor_small(p)) and f.r == 1]
     rows = np.sort([rng.choice(odd_primes, r, replace=False) for _ in range(40)], axis=1)
     fs = [FactoredInteger(int(np.prod(row)), tuple(row.tolist()), False) for row in rows]
     twists = [build_twist(f) for f in fs]

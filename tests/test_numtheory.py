@@ -8,8 +8,8 @@ import pytest
 
 from cnkit import numtheory
 from cnkit.numtheory import (
-    DEFAULT_SIEVE_BUDGET,
     QR_TABLE_CAP,
+    SIEVE_LIMIT,
     FactoredInteger,
     NotSquarefreeError,
     ResourceLimitError,
@@ -36,33 +36,34 @@ def sieve():
 
 @pytest.fixture(scope="module")
 def big_sieve():
-    return sieve_init(10 ** 7)  # about 40 MB
+    return sieve_init(10 ** 7)  # about 20 MB
 
 
 def test_sieve_small_table():
+    # One entry per odd m <= limit: spf[k] is the factor of 2k + 1.
     s = sieve_init(10)
-    assert {m: int(s.spf[m]) for m in range(2, 11)} == {
-        2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2
-    }
+    assert {2 * k + 1: int(p) for k, p in enumerate(s.spf)} == {1: 1, 3: 3, 5: 5, 7: 7, 9: 3}
 
 
 def test_sieve_boundary():
     s = sieve_init(2)
-    assert int(s.spf[2]) == 2
+    assert s.spf.tolist() == [1]
+    assert sieve_init(3).spf.tolist() == [1, 3]
 
 
 def test_sieve_spot_values():
     s = sieve_init(30)
-    assert int(s.spf[15]) == 3
-    assert int(s.spf[29]) == 29
+    assert int(s.spf[15 >> 1]) == 3
+    assert int(s.spf[29 >> 1]) == 29
 
 
 def test_sieve_invariants(sieve):
+    # spf[k] divides 2k + 1 and is prime.
     spf = sieve.spf
-    for m in range(2, 2000):
-        p = int(spf[m])
-        assert m % p == 0
-        assert sieve.is_prime(p)
+    for k in range(1, 1000):
+        p = int(spf[k])
+        assert (2 * k + 1) % p == 0
+        assert _spf_by_trial_division(p) == p
 
 
 def _spf_by_trial_division(m):
@@ -77,16 +78,21 @@ def test_sieve_matches_trial_division_at_the_square_edges():
     limits = set(range(2, 65)) | {p * p + e for p in primes for e in (-1, 0, 1)}
     for limit in sorted(limits):
         spf = sieve_init(limit).spf
-        assert spf.dtype == np.uint32 and spf.size == limit + 1, limit
-        want = [0, 1] + [_spf_by_trial_division(m) for m in range(2, limit + 1)]
+        assert spf.dtype == np.uint32 and spf.size == (limit + 1) // 2, limit
+        want = [1] + [_spf_by_trial_division(m) for m in range(3, limit + 1, 2)]
         assert spf.tolist() == want, limit
 
 
 def test_sieve_budget(monkeypatch):
-    monkeypatch.setattr(numtheory, "DEFAULT_SIEVE_BUDGET", 1000)
+    # The limit is checked before anything is allocated.
+    with pytest.raises(ResourceLimitError):
+        sieve_init(SIEVE_LIMIT + 1)
+    monkeypatch.setattr(numtheory, "SIEVE_LIMIT", 249)
     with pytest.raises(ResourceLimitError):
         sieve_init(10 ** 6)
-    assert sieve_init(249).limit == 249  # 4 * 250 bytes, just within
+    with pytest.raises(ResourceLimitError):
+        sieve_init(250)
+    assert sieve_init(249).limit == 249  # just within
 
 
 def test_factor_squarefree_basic(sieve):
@@ -125,16 +131,16 @@ def test_legendre_examples():
         legendre(10, 5)
 
 
-def test_legendre_against_euler_criterion(sieve):
-    primes = [p for p in range(3, 200) if sieve.is_prime(p)]
+def test_legendre_against_euler_criterion():
+    primes = [p for p in range(3, 200) if _spf_by_trial_division(p) == p]
     for p in primes:
         for d in range(1, p):
             want = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
             assert legendre(d, p) == want
 
 
-def test_quadratic_reciprocity(sieve):
-    primes = [p for p in range(3, 1000) if sieve.is_prime(p)]
+def test_quadratic_reciprocity():
+    primes = [p for p in range(3, 1000) if _spf_by_trial_division(p) == p]
     for p in primes:
         for q in primes:
             if p == q:
@@ -144,9 +150,9 @@ def test_quadratic_reciprocity(sieve):
             assert lhs == rhs
 
 
-def test_legendre_plus_additive(sieve):
+def test_legendre_plus_additive():
     rng = np.random.default_rng(1)
-    primes = [p for p in range(3, 5000) if sieve.is_prime(p)]
+    primes = [p for p in range(3, 5000) if _spf_by_trial_division(p) == p]
     for _ in range(10 ** 4):
         p = primes[rng.integers(0, len(primes))]
         a = int(rng.integers(1, 10 ** 6))
@@ -177,10 +183,10 @@ def test_is_square_class():
         is_square_class(5, 3, 3)
 
 
-def test_is_square_class_matches_jacobi_on_primes(sieve):
+def test_is_square_class_matches_jacobi_on_primes():
     # For D=1 membership is just the class of p mod 8.
     for p in range(3, 500, 2):
-        if not sieve.is_prime(p):
+        if _spf_by_trial_division(p) != p:
             continue
         for n0 in (1, 3, 5, 7):
             assert is_square_class(p, n0, 1) == (p % 8 == n0)
@@ -257,8 +263,8 @@ def test_factor_squarefree_range_edges(sieve):
         same_r_stacks(1, sieve.limit + 2, sieve)
 
 
-def test_legendre_plus_bulk_matches_scalar(sieve):
-    primes = np.array([p for p in range(3, 2000, 2) if sieve.is_prime(p)])
+def test_legendre_plus_bulk_matches_scalar():
+    primes = np.array([p for p in range(3, 2000, 2) if _spf_by_trial_division(p) == p])
     d, p = np.meshgrid(primes, primes)  # d varies along rows, p down columns
     off = d != p
     got = legendre_plus_bulk(d[off], p[off])
@@ -269,9 +275,9 @@ def test_legendre_plus_bulk_matches_scalar(sieve):
         assert legendre_plus_bulk(dd, primes).tolist() == [legendre_plus(dd, int(q)) for q in primes]
 
 
-def test_legendre_plus_bulk_every_residue_below_2048(sieve):
+def test_legendre_plus_bulk_every_residue_below_2048():
     for p in range(3, 2048, 2):
-        if sieve.is_prime(p):
+        if _spf_by_trial_division(p) == p:
             d = np.concatenate([np.arange(1, p), [-1, 2, -2]])
             want = [legendre_plus(int(x), p) for x in d]
             assert legendre_plus_bulk(d, p).tolist() == want, p
@@ -314,10 +320,10 @@ def test_legendre_plus_bulk_rejects_overflow_and_zero(monkeypatch):
 
 
 def test_qr_table_cap_covers_the_largest_default_sieve():
-    # The largest default sieve holds n < DEFAULT_SIEVE_BUDGET // 4 (one
-    # uint32 per integer); the smaller prime of a pair of such an n lies
-    # below its square root, hence below the cap.
-    assert QR_TABLE_CAP ** 2 >= DEFAULT_SIEVE_BUDGET // 4 == 2 ** 30
+    # The largest sieve holds n <= SIEVE_LIMIT; the smaller prime of a
+    # pair of such an n lies below its square root, hence below the cap.
+    assert SIEVE_LIMIT == 2 ** 30 - 1
+    assert QR_TABLE_CAP ** 2 > SIEVE_LIMIT
 
 
 @pytest.mark.parametrize("residue,modulus", [(0, 1), (3, 4), (5, 8), (6, 8), (7, 8), (1, 2)])
