@@ -178,10 +178,10 @@ def _sym_plus(d: int, m: int) -> int:
 
 
 @cache
-def _unit_class_reps(d: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Representatives of (Z/8D)^x modulo squares, and two tables over the
-    residues mod 8D: the rep index of each unit, and its inverse (both 0
-    at non-units).  The result is shared, so the tables are read-only."""
+def _unit_class_reps(d: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Representatives of (Z/8D)^x modulo squares, and the rep index of
+    each residue mod 8D (0 at non-units).  The result is shared, so the
+    table is read-only."""
     mod = 8 * d
     units = [u for u in range(1, mod) if gcd(u, mod) == 1]
     squares = {u * u % mod for u in units}
@@ -196,10 +196,28 @@ def _unit_class_reps(d: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
             unit_to_idx[u * s % mod] = idx
     index = np.zeros(mod, dtype=np.int64)
     index[list(unit_to_idx)] = list(unit_to_idx.values())
-    inverse = np.zeros(mod, dtype=np.int64)
-    inverse[units] = [pow(u, -1, mod) for u in units]
-    index.flags.writeable = inverse.flags.writeable = False
-    return tuple(reps), index, inverse
+    index.flags.writeable = False
+    return tuple(reps), index
+
+
+@cache
+def _class_codes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """XOR codes of the classes of `_unit_class_reps(d)`: (Z/8D)^x modulo
+    squares is an elementary abelian 2-group, so each class index gets the
+    code of its coordinates in a basis, and the code of a product of
+    classes is the XOR of their codes.  Returns code (by class index) and
+    decode (by code), read-only."""
+    reps, index = _unit_class_reps(d)
+    mod = 8 * d
+    members = [int(index[1])]  # members[c] is the class index of code c
+    for g in range(len(reps)):
+        if g not in members:
+            members += [int(index[reps[m] * reps[g] % mod]) for m in members]
+    decode = np.array(members, dtype=np.min_scalar_type(len(reps) - 1))
+    code = np.empty_like(decode)
+    code[decode] = np.arange(len(reps))
+    code.flags.writeable = decode.flags.writeable = False
+    return code, decode
 
 
 @dataclass(frozen=True)
@@ -532,7 +550,7 @@ def _draw_block(cfg: AltConfig, r: int, rng: np.random.Generator, count: int):
     """Raw per-sample draws, in a fixed call order for reproducibility:
     class indices (count, r), and U, the strict upper triangle of A, as
     row words (count, r, wr) with row i holding random bits j > i only."""
-    reps, index, inverse = _unit_class_reps(cfg.d)
+    reps, index = _unit_class_reps(cfg.d)
     mod = 8 * cfg.d
     cls = np.empty((count, r), dtype=np.int64)
     cls[:, : r - 1] = rng.integers(0, len(reps), size=(count, r - 1))
@@ -543,11 +561,12 @@ def _draw_block(cfg: AltConfig, r: int, rng: np.random.Generator, count: int):
     wr = (r + 63) // 64
     upper = rng.integers(0, 2 ** 64 - 1, size=(count, r, wr), dtype=np.uint64, endpoint=True)
     upper &= _row_masks(r)[0]
-    reps_arr = np.array(reps, dtype=np.int64)
-    prod = np.ones(count, dtype=np.int64)
-    for j in range(r - 1):
-        prod = prod * reps_arr[cls[:, j]] % mod
-    cls[:, r - 1] = index[targets % mod * inverse[prod] % mod]
+    # The last class is the target's divided by the product of the others,
+    # in XOR codes: every class is its own inverse.
+    code, decode = _class_codes(cfg.d)
+    last = code.take(index.take(targets % mod))
+    last ^= np.bitwise_xor.reduce(code.take(cls[:, : r - 1].T), axis=0)
+    cls[:, r - 1] = decode.take(last)
     return cls, upper
 
 

@@ -3,7 +3,7 @@
 Usage:
     cnkit verify --max-n 100000
     cnkit scan --residue 5 --max-n 1000000 --workers 4 --format json
-    cnkit certify --residue 5 --max-n 10000 --out certs.csv
+    cnkit certify --residue 5 --max-n 10000 --workers 2 --out certs.csv
     cnkit simulate --row 5a --r 30 --samples 100000 --seed 42
     cnkit markov --chain odd --k-max 64
     cnkit alpha --k-max 10
@@ -71,9 +71,7 @@ def _emit(header: list[str], rows: Iterable[list], meta: dict, args) -> None:
     """Serialize rows, read once, as CSV or JSON with identical numeric
     values, written as the rows come: CSV a row at a time; JSON, the text
     of json.dumps({"meta": meta, "rows": [one dict per row]}, indent=2,
-    sort_keys=True), a `BLOCK` of rows at a time, each block dumped as a
-    list, indented one level deeper and stripped of its brackets (faster
-    than one dump per row, or of the whole)."""
+    sort_keys=True), a `BLOCK` of rows at a time (`_json_rows`)."""
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
@@ -84,9 +82,28 @@ def _emit(header: list[str], rows: Iterable[list], meta: dict, args) -> None:
         fh.write('{\n  "meta": ' + encode(meta).replace("\n", "\n  ") + ',\n  "rows": [')
         rows, sep = iter(rows), ""
         while block := [dict(zip(header, row)) for row in islice(rows, BLOCK)]:
-            fh.write(sep + encode(block).replace("\n", "\n  ")[1:-4])
+            fh.write(sep + _json_rows(block))
             sep = ","
         fh.write("\n  ]\n}\n" if sep else "]\n}\n")
+
+
+# The separator of two items of a row, at the depth of `_emit`'s rows; an
+# encoder with no indent runs in C, one with indent=2 in Python.
+_ROW_ITEM = ",\n      "
+_encode_rows = json.JSONEncoder(sort_keys=True, separators=(_ROW_ITEM, ": ")).encode
+
+
+def _json_rows(block: list[dict]) -> str:
+    """The nonempty dicts of block, of str keys and scalar values (str,
+    int, float, bool or None), as json.dumps(..., indent=2, sort_keys=True)
+    writes them two levels deep, without the brackets of the list.
+
+    The C encoder parts the items of each row by `_ROW_ITEM`, already
+    indented.  It parts the rows by `_ROW_ITEM` too, and since no scalar's
+    JSON holds a raw newline, only there does `_ROW_ITEM` stand between a
+    "}" and a "{"; those and the brackets are rewritten."""
+    text = _encode_rows(block)[2:-2].replace("}" + _ROW_ITEM + "{", "\n    },\n    {\n      ")
+    return "\n    {\n      " + text + "\n    }"
 
 
 def _text(v) -> str:
@@ -111,7 +128,7 @@ def _meta(args, seed=None, **params) -> dict:
 
 def cmd_verify(args) -> int:
     sieve = sieve_init(max(2, args.max_n))
-    rows_checked, n_checked, mismatches = identity_check(args.max_n, sieve)
+    rows_checked, n_checked, mismatches = identity_check(args.max_n, sieve, args.workers)
     rows_out = []
     for n, row, sum_value, det_value in mismatches:
         matrix = row_matrix(row, build_twist(factor_squarefree(n, sieve)))
@@ -137,7 +154,7 @@ def cmd_scan(args) -> int:
 
 def cmd_certify(args) -> int:
     sieve = sieve_init(max(2, args.max_n))
-    rep = certified_table(args.residue, args.max_n, sieve)
+    rep = certified_table(args.residue, args.max_n, sieve, args.workers)
     labels = rows_for_residue(args.residue)
     # Read a BLOCK of records at a time, so that no Python list holds them all.
     cert = rep.certified
@@ -229,14 +246,23 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=str, default=None)
 
-    common(sub.add_parser("verify", help="check divisor sums against determinants"), scale=True)
+    common(
+        sub.add_parser("verify", help="check divisor sums against determinants"),
+        scale=True,
+        workers=True,
+    )
     common(
         sub.add_parser("scan", help="density scan over one residue class"),
         residue=True,
         scale=True,
         workers=True,
     )
-    common(sub.add_parser("certify", help="list certified congruent numbers"), residue=True, scale=True)
+    common(
+        sub.add_parser("certify", help="list certified congruent numbers"),
+        residue=True,
+        scale=True,
+        workers=True,
+    )
     common(
         sub.add_parser("simulate", help="Monte Carlo corank distribution"),
         row=True,

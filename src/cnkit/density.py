@@ -27,21 +27,26 @@ columns share the factorization and the symbols but no form: a wrong g
 or a wrong row form shows as an identity mismatch.
 
 The census has no divisor sums and ranks no form of its own: the 4-rank
-of n = 3 (mod 4) is the corank of the r x r g form of n, so each same-r
-stack, at most BLOCK / 4 n, gets its 4-ranks from the g table's form
-ranking (`monsky._redei_coranks`, which reads A's row words as
-`twist_batch` gives them, one uint8 word a row up to r = 8).
+of n = 3 (mod 4) is the corank of the r x r g form of n, which reads A
+and not z, and A is fixed by the P = r(r-1)/2 symbols above its diagonal
+and the r bits p_i = 3 (mod 4).  So each same-r stack, at most BLOCK / 4
+n, of r <= `_TABLE_R` = 5 (all but 23 of the 202,650 n up to 1e6) reads
+its 4-ranks from `monsky.four_rank_table(r)` at each n's code of those
+P + r bits (`monsky.four_rank_codes`), at most 2^15 one-byte entries,
+built once per process by the g table's form ranking
+(`monsky._redei_coranks`).  A stack of larger r gets its 4-ranks from
+that ranking directly, on A's row words as `twist_batch` gives them.
 
 The block pass has one integer division and no sum across a short
 axis: the factorization divides by the sieve's smallest prime factor in
 exact float64 and takes the stack of each prime count r once, at exact
 size, from its table of primes; the twist reads p mod 4 and p mod 8
-from low bits, packs A into row words once and takes its diagonal from
-the popcount parity of each row; and the 4-rank and Selmer-rank
-histograms are `np.bincount`s.  The division left is the int64 `d % p`
-of `numtheory.legendre_plus_bulk`, which indexes the quadratic-residue
-table: a float64 remainder measured slower (108 against 94 us over the
-symbol pairs of a census block).
+from low bits and packs the symbols once, into A's row words (diagonal
+from the popcount parity of each row) or into the census's codes; and
+the 4-rank and Selmer-rank histograms are `np.bincount`s.  The division
+left is the int64 `d % p` of `numtheory.legendre_plus_bulk`, which
+indexes the quadratic-residue table: a float64 remainder measured slower
+(108 against 94 us over the symbol pairs of a census block).
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ from .monsky import (
     SELMER_FORM,
     _redei_coranks,
     form_coranks,
+    four_rank_codes,
+    four_rank_table,
     redei_g_table,
     rows_for_residue,
     twist_batch,
@@ -248,7 +255,9 @@ def _scan(
     return rep
 
 
-def certified_table(residue: int, limit: int, sieve: PrimeSieve) -> DensityReport:
+def certified_table(
+    residue: int, limit: int, sieve: PrimeSieve, workers: int = 1
+) -> DensityReport:
     """The scan of n = residue (mod 8) up to limit with its certified n.
 
     `certified` lists each n whose applicable divisor sum is nonzero,
@@ -258,11 +267,11 @@ def certified_table(residue: int, limit: int, sieve: PrimeSieve) -> DensityRepor
     """
     if residue not in (5, 6, 7):
         raise ValueError(f"certification applies to residues 5, 6, 7; got {residue}")
-    return _scan(residue, limit, sieve, workers=1, certify=True)
+    return _scan(residue, limit, sieve, workers, certify=True)
 
 
 def identity_check(
-    limit: int, sieve: PrimeSieve
+    limit: int, sieve: PrimeSieve, workers: int = 1
 ) -> tuple[int, int, list[tuple[int, str, int, int]]]:
     """Divisor sum against determinant for every row at every squarefree
     n <= limit: the mismatches of a `scan` of each residue.
@@ -273,23 +282,33 @@ def identity_check(
     rows_checked = n_checked = 0
     bad = []
     for residue in (1, 2, 3, 5, 6, 7):
-        rep = scan(residue, limit, sieve)
+        rep = scan(residue, limit, sieve, workers)
         n_checked += rep.squarefree_count
         rows_checked += rep.squarefree_count * len(rows_for_residue(residue))
         bad += rep.mismatches
     return rows_checked, n_checked, sorted(bad)
 
 
+# The largest r whose 4-ranks the census reads from `four_rank_table`:
+# 2^15 entries at r = 5, where r = 6 would take 2^21 and about 0.5 s to build.
+_TABLE_R = 5
+
+
 def _census_block(args, sieve) -> FourRankCensus:
-    """The 4-rank histogram of the squarefree n = 3 (mod 4) in [lo, hi):
-    the coranks of the g forms of each same-r stack (`_redei_coranks`),
-    counted by `np.bincount`."""
+    """The 4-rank histogram of the squarefree n = 3 (mod 4) in [lo, hi),
+    counted by `np.bincount`: a stack of r <= `_TABLE_R` reads each n's
+    4-rank from the table of its r at the n's symbol code, a larger one
+    ranks its g forms (`_redei_coranks`)."""
     lo, hi = args
     census = FourRankCensus(limit=sieve.limit)
     for ns, stack in same_r_stacks(lo, hi, sieve, residue=3, modulus=4):
         census.total += ns.size
-        a, _, z = twist_batch(stack)
-        _add_counts(census.counts, _redei_coranks(ns, a, z))
+        if stack.shape[1] <= _TABLE_R:
+            ranks = four_rank_table(stack.shape[1]).take(four_rank_codes(stack))
+        else:
+            a, _, z = twist_batch(stack)
+            ranks = _redei_coranks(ns, a, z)
+        _add_counts(census.counts, ranks)
     return census
 
 

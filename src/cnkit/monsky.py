@@ -9,21 +9,28 @@ block matrices used to relate them, and the 2-Selmer rank formulas.
 The scalar code (`build_twist`, `redei_g_parts`, `row_matrix_parts`,
 `row_det`, `rank3_indicator`, `selmer_rank`) is the readable reference.
 Scans use its batched mirror, in which A is held as it is in
-`F2Matrix.rows`, one row word per row: `twist_batch` builds (A, y, z)
-for a stack of same-r n, A as (count, r) row words packed once from its
-symbols (looked up in the quadratic-residue table of
-`numtheory.legendre_plus_bulk`), y and z as 0/1 uint8 arrays;
-`redei_g_table` tabulates g(d) for every squarefree d up to a limit once
-per process, factoring only odd d and ranking the forms of d and 2d
-together in A's row words (`_redei_coranks`, whose coranks at n = 3
-(mod 4) are the census's 4-ranks), and holds the largest table (a limit
-+ 1-byte read-only array) until exit; and the eight row forms are data,
-one entry each of the `_ROW_FORMS` border table, from which
-`form_coranks` builds several forms of a stack of same-r twists straight
-into row words of the narrowest dtype that holds a row (A^T taken from
-A's words by reciprocity, with no transpose packed; y, z and y + z
-taken as bits and as words; no m x m bit array) and ranks them with one
-`rank_batch` call.
+`F2Matrix.rows`, one row word per row:
+- `twist_batch` builds (A, y, z) for a stack of same-r n: the symbols
+  above A's diagonal looked up in the quadratic-residue table of
+  `numtheory.legendre_plus_bulk`, A packed from them once (`_row_words`:
+  the lower triangle by reciprocity, the diagonal by row parity) into
+  (count, r) row words, y and z as 0/1 uint8 arrays;
+- `_redei_coranks` is the one builder of the g forms and of 4-ranks: it
+  ranks the r x r forms of a stack of d in A's row words;
+- `redei_g_table` tabulates g(d) for every squarefree d up to a limit
+  once per process, factoring only odd d and ranking the forms of d and
+  2d together, and holds the largest table (a limit + 1-byte read-only
+  array) until exit;
+- `four_rank_table(r)` holds the 4-rank of n = 3 (mod 4) for each code
+  of `four_rank_codes` (A's upper symbols and y as P + r bits, P =
+  r(r-1)/2), ranked by `_redei_coranks` once per process, so that the
+  census looks each n up instead of building and ranking its form;
+- the eight row forms are data, one entry each of the `_ROW_FORMS`
+  border table, from which `form_coranks` builds several forms of a
+  stack of same-r twists straight into row words of the narrowest dtype
+  that holds a row (A^T taken from A's words by reciprocity, with no
+  transpose packed; y, z and y + z taken as bits and as words; no m x m
+  bit array) and ranks them with one `rank_batch` call.
 """
 
 from __future__ import annotations
@@ -59,6 +66,8 @@ __all__ = [
     "redei_g",
     "redei_g_parts",
     "redei_g_table",
+    "four_rank_codes",
+    "four_rank_table",
     "row_matrix",
     "row_matrix_parts",
     "row_det",
@@ -145,23 +154,36 @@ def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     of p (p & 3 and p & 7), the symbols of A above the diagonal from the
     quadratic-residue table of `legendre_plus_bulk` (so the smaller prime
     of each pair must lie below `numtheory.QR_TABLE_CAP`, else
-    ValueError), those below by quadratic reciprocity (A_ij + A_ji =
-    y_i y_j); the off-diagonal bits are packed once, and the diagonal
-    bit of each row is the parity of its popcount.
+    ValueError), and A from those and y by `_row_words`.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    count, r = primes.shape
     low = primes & 7
     y = ((low & 3) == 3).view(np.uint8)
     z = ((low == 3) | (low == 5)).view(np.uint8)
+    return _row_words(_upper_symbols(primes), y), y, z
+
+
+def _upper_symbols(primes: np.ndarray) -> np.ndarray:
+    """The (count, r(r-1)/2) symbols (p_j/p_i)_+ above the diagonal of A,
+    in `_pair_indices` order, from `legendre_plus_bulk`."""
+    i, j = _pair_indices(primes.shape[1])
+    return legendre_plus_bulk(primes[:, j], primes[:, i])
+
+
+def _row_words(upper: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A as (count, r) row words of `row_dtype(r)` from its symbols above
+    the diagonal (`_upper_symbols`) and the 0/1 bits y: those below by
+    quadratic reciprocity (A_ij + A_ji = y_i y_j), the off-diagonal bits
+    packed once, and the diagonal bit of each row the parity of its
+    popcount."""
+    count, r = y.shape
     i, j = _pair_indices(r)
-    upper = legendre_plus_bulk(primes[:, j], primes[:, i])  # (p_j/p_i)_+
     bits = np.zeros((count, r, r), dtype=np.uint8)
     bits[:, i, j] = upper
     bits[:, j, i] = upper ^ (y[:, i] & y[:, j])
     a = pack_rows(bits).reshape(count, r)  # one word a row
     a |= (np.bitwise_count(a) & 1) << np.arange(r, dtype=a.dtype)
-    return a, y, z
+    return a
 
 
 def redei_g_parts(a: F2Matrix, z: F2Vector, n_mod4: int) -> int:
@@ -261,6 +283,41 @@ def _redei_coranks(d: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     rows = a & keep.take(low, axis=0)
     rows ^= z * flip.take(low, axis=0) | put.take(low, axis=0)
     return r - rank_batch(rows[..., None])
+
+
+# The codes `four_rank_table` decodes and ranks at a time.
+_CODE_SLICE = 4096
+
+
+def four_rank_codes(primes: np.ndarray) -> np.ndarray:
+    """The symbol code of each n of a stack of same-r n (`twist_batch`'s
+    (count, r) primes), with P = r(r-1)/2: bit k is the k-th symbol above
+    the diagonal of A in `_pair_indices` order, and bit P + i is y_i =
+    [p_i = 3 (mod 4)].  A is a function of the code (reciprocity gives the
+    lower triangle, row parity the diagonal), and so is the 4-rank of
+    n = 3 (mod 4), whose g form reads A and not z."""
+    primes = np.asarray(primes, dtype=np.int64)
+    y = ((primes & 3) == 3).view(np.uint8)
+    return pack_rows(np.concatenate((_upper_symbols(primes), y), axis=1))[:, 0]
+
+
+@cache
+def four_rank_table(r: int) -> np.ndarray:
+    """The 4-rank of n = 3 (mod 4) with r odd primes, indexed by its
+    `four_rank_codes` code: a read-only uint8 array of 2^(P + r) entries,
+    P = r(r-1)/2 (32 kB at r = 5), for r <= 7.  Each code is decoded from
+    its 32 low bits into its upper symbols and y, turned into A by
+    `_row_words` and ranked by `_redei_coranks` at d = 3, `_CODE_SLICE`
+    codes at a time."""
+    width = r * (r - 1) // 2 + r
+    table = np.empty(1 << width, dtype=np.uint8)
+    for lo, hi in spans(0, table.size, _CODE_SLICE):
+        codes = np.arange(lo, hi, dtype="<u4").view(np.uint8).reshape(-1, 4)
+        bits = np.unpackbits(codes, axis=1, bitorder="little")
+        a = _row_words(bits[:, : width - r], bits[:, width - r : width])
+        table[lo:hi] = _redei_coranks(np.full(hi - lo, 3), a, np.zeros((hi - lo, r), np.uint8))
+    table.flags.writeable = False
+    return table
 
 
 def _b_mat(a: F2Matrix) -> F2Matrix:

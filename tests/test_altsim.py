@@ -304,6 +304,38 @@ def test_assignment_class_distribution():
         assert abs(cnt / total - 0.25) < 0.02
 
 
+@pytest.mark.parametrize("d", [1, 3, 15, 105])
+def test_class_codes_multiply_by_xor(d):
+    # (Z/8D)^x modulo squares in XOR codes: decode inverts code, and the
+    # code of a product of two classes is the XOR of theirs.
+    reps, index = altsim._unit_class_reps(d)
+    code, decode = altsim._class_codes(d)
+    assert sorted(code.tolist()) == list(range(len(reps)))
+    assert decode.take(code).tolist() == list(range(len(reps)))
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            assert code[index[a * b % (8 * d)]] == code[i] ^ code[j], (a, b)
+    assert not code.flags.writeable and not decode.flags.writeable
+
+
+@pytest.mark.parametrize("d, n0", [(1, (7,)), (3, (5, 7)), (15, (7, 11, 13))])
+def test_drawn_classes_multiply_to_a_target(d, n0):
+    # The last class drawn is the one that takes the product of the
+    # classes of each sample into the square class of one of the targets.
+    cfg = dataclasses.replace(ensemble_config("7a"), d=d, n0=n0)
+    reps, index = altsim._unit_class_reps(d)
+    mod = 8 * d
+    cls, _ = _draw_block(cfg, 6, _block_rng(d, 0), 300)
+    targets = {int(index[t % mod]) for t in n0}
+    seen = set()
+    for row in cls.tolist():
+        assert len(row) == 6
+        prod = math.prod(reps[c] for c in row) % mod
+        assert index[prod] in targets, row
+        seen.add(int(index[prod]))
+    assert seen == targets
+
+
 def test_batch_path_matches_reference():
     # vectorized assembly + batched rank agree with build_alt + gf2 rank
     for label in ("5a", "6", "7b"):

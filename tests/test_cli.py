@@ -99,9 +99,14 @@ def test_csv_json_same_values(tmp_path):
 def test_json_streamed_equals_whole_document(tmp_path, monkeypatch, count):
     # --format json is written a BLOCK of rows at a time (here also 2, so
     # that 3 rows span two blocks), byte for byte the dump of the whole
-    # document: "meta" first, and "rows": [] when empty.
-    header = ["n", "label", "flag", "value"]
-    rows = [[7, "5a", True, 0.1], [-3, 'q"\n', False, 1e300], [0, "", True, float("nan")]][:count]
+    # document: "meta" first, and "rows": [] when empty.  The rows hold
+    # every scalar type, and strings that look like the text between rows.
+    header = ["n", "label", "flag", "value", "none"]
+    rows = [
+        [7, "5a", True, 0.1, None],
+        [-(2 ** 70), 'q"\n},\n      {"\u00e9', False, 1e300, None],
+        [0, "", True, float("nan"), None],
+    ][:count]
     meta = {"version": "0", "command": "certify", "seed": None, "config_hash": "ab"}
     document = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
     want = json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -129,6 +134,17 @@ def test_scan_json_meta(capsys):
 def test_scan_worker_byte_identity(tmp_path):
     base = ["scan", "--residue", "5", "--max-n", str(2 * (1 << 16))]
     p1, p2 = str(tmp_path / "w1.csv"), str(tmp_path / "w2.csv")
+    assert main(base + ["--workers", "1", "--out", p1]) == 0
+    assert main(base + ["--workers", "2", "--out", p2]) == 0
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "command", [["certify", "--residue", "7"], ["verify", "--format", "json"]]
+)
+def test_certify_and_verify_worker_byte_identity(tmp_path, command):
+    base = command + ["--max-n", str((1 << 16) + 5000)]  # two blocks
+    p1, p2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     assert main(base + ["--workers", "1", "--out", p1]) == 0
     assert main(base + ["--workers", "2", "--out", p2]) == 0
     assert open(p1, "rb").read() == open(p2, "rb").read()
@@ -267,15 +283,18 @@ def test_simulate_guards_r(capsys, monkeypatch):
 
 def test_workers_only_where_read(capsys):
     for args in (
-        ["verify", "--max-n", "100"],
-        ["certify", "--residue", "5", "--max-n", "100"],
         ["classcheck", "--max-n", "100"],
         ["markov", "--chain", "odd"],
         ["alpha"],
     ):
         assert main(args + ["--workers", "2"]) == 3, args
         assert "--workers" in capsys.readouterr().err
-    assert main(["scan", "--residue", "5", "--max-n", "100", "--workers", "2"]) == 0
+    for args in (
+        ["scan", "--residue", "5", "--max-n", "100"],
+        ["certify", "--residue", "5", "--max-n", "100"],
+        ["verify", "--max-n", "100"],
+    ):
+        assert main(args + ["--workers", "2"]) == 0, args
     args = ["simulate", "--row", "5a", "--r", "4", "--samples", "50", "--workers", "2"]
     assert main(args) == 0
 

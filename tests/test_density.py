@@ -209,6 +209,16 @@ def test_census_edge_limits(sieve, limit):
     assert census.total == sum(direct.values())
 
 
+def test_census_table_path_equals_kernel_path(sieve, monkeypatch):
+    # With no r tabled every stack ranks its g forms (`_redei_coranks`);
+    # the table path gives the same census at 1e5 and at the edge limits.
+    limits = (10 ** 5, 0, 1, 2, 3, 65536, 65537, 65539)
+    default = [fourrank_census(limit, sieve) for limit in limits]
+    monkeypatch.setattr(density, "_TABLE_R", 0)
+    assert [fourrank_census(limit, sieve) for limit in limits] == default
+    assert default[0].total == sum(default[0].counts.values()) > 0
+
+
 def test_census_worker_independence(sieve):
     limit = (1 << 16) + 30000
     seq = fourrank_census(limit, sieve, workers=1)
@@ -353,6 +363,15 @@ def test_scan_workers_across_blocks():
     limit = 140_000  # three blocks
     sieve = sieve_init(limit)
     assert scan(6, limit, sieve, workers=2) == scan(6, limit, sieve, workers=1)
+
+
+def test_certify_and_identity_check_workers_across_blocks():
+    limit = 140_000  # three blocks
+    sieve = sieve_init(limit)
+    one, two = certified_table(7, limit, sieve), certified_table(7, limit, sieve, workers=2)
+    assert one == two and one.certified.size
+    assert np.array_equal(one.certified, two.certified)
+    assert identity_check(limit, sieve, workers=2) == identity_check(limit, sieve)
 
 
 def test_scan_round_builds_one_g_table(sieve, cold_g_table):

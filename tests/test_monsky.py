@@ -18,6 +18,7 @@ from cnkit.monsky import (
     form_coranks,
     random_constrained_triple,
     rank3_indicator,
+    reciprocal_fill,
     redei_g,
     redei_g_table,
     row_det,
@@ -503,6 +504,64 @@ def test_batch_paths_match_scalar_at_r_6_to_8(r):
     assert three.size
     got = monsky._redei_coranks(ns, a, z)[three]
     assert got.tolist() == [four_rank(fs[k]) for k in three]
+
+
+def _decode(code, r):
+    """The (upper rows, y) of a `four_rank_codes` code: bit k is the k-th
+    pair (i, j) of triu_indices(r, 1), bit P + i is y_i."""
+    upper = [0] * r
+    for k, (i, j) in enumerate(zip(*(v.tolist() for v in np.triu_indices(r, 1)))):
+        upper[i] |= (code >> k & 1) << j
+    p = r * (r - 1) // 2
+    return upper, [code >> (p + i) & 1 for i in range(r)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_four_rank_table_is_redei_coranks_of_every_code(r):
+    """Every entry is the corank of the d = 3 (mod 4) g form of the A
+    that `reciprocal_fill` builds from the entry's decoded symbols."""
+    table = monsky.four_rank_table(r)
+    assert table.dtype == np.uint8 and table.size == 1 << (r * (r - 1) // 2 + r)
+    rows = [reciprocal_fill(*_decode(code, r)).rows for code in range(table.size)]
+    a = np.array(rows, dtype=row_dtype(r))
+    d = np.full(table.size, 3)
+    assert np.array_equal(table, monsky._redei_coranks(d, a, np.zeros(a.shape, np.uint8)))
+
+
+def test_four_rank_table_agrees_with_four_rank(sieve):
+    """A seeded sample of n = 3 (mod 4) up to 1e5 (r = 1 to 5) reads the
+    scalar four_rank of n at its code, and a seeded sample of codes at
+    r = 5 the corank of A without row and column 1."""
+    rng = np.random.default_rng(1934)
+    fs = list(enumerate_squarefree(3, 4, sieve.limit, sieve))
+    for k in rng.choice(len(fs), 400, replace=False):
+        f = fs[k]
+        code = monsky.four_rank_codes(np.array([f.odd_primes]))
+        assert monsky.four_rank_table(f.r)[code[0]] == four_rank(f), f.n
+    idx = tuple(range(2, 6))
+    for code in rng.integers(0, 1 << 15, 200).tolist():
+        want = gf2.corank(gf2.submatrix(reciprocal_fill(*_decode(code, 5)), idx, idx))
+        assert monsky.four_rank_table(5)[code] == want, code
+
+
+def test_four_rank_tables_built_once_and_read_only(monkeypatch):
+    monsky.four_rank_table.cache_clear()
+    built = []
+    rank = monsky._redei_coranks
+
+    def counting(d, a, z):
+        built.append(a.shape[1])
+        return rank(d, a, z)
+
+    monkeypatch.setattr(monsky, "_redei_coranks", counting)
+    tables = [monsky.four_rank_table(r) for r in (1, 2, 3, 4, 5)]
+    assert built == [1, 2, 3, 4] + [5] * 8  # r = 5 in 8 slices of 4,096 codes
+    assert all(monsky.four_rank_table(r) is t for r, t in zip((1, 2, 3, 4, 5), tables))
+    assert len(built) == 12  # no rebuild
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 # The builder itself, out of reach of the `cold_g_table` counting patch.
