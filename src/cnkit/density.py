@@ -22,18 +22,19 @@ the form's width) and ranks every row form and the Selmer form together.
 Every stack records each (n, row) whose two columns differ, so the
 identity is checked on every n that a scan counts, that
 `certified_table` certifies (the row is the first nonzero sum) and that
-`identity_check` (a scan of each of the six residues) reports.  The
-columns share the factorization and the symbols but no form: a wrong g
-or a wrong row form shows as an identity mismatch.
+`identity_check` (a scan of each of the six residues, all their blocks
+in one `map_blocks` pass) reports.  The columns share the factorization
+and the symbols but no form: a wrong g or a wrong row form shows as an
+identity mismatch.
 
 The census has no divisor sums and ranks no form of its own: the 4-rank
 of n = 3 (mod 4) is the corank of the r x r g form of n, which reads A
 and not z, and A is fixed by the P = r(r-1)/2 symbols above its diagonal
 and the r bits p_i = 3 (mod 4).  So each same-r stack, at most BLOCK / 4
-n, of r <= `_TABLE_R` = 5 (all but 23 of the 202,650 n up to 1e6) reads
-its 4-ranks from `monsky.four_rank_table(r)` at each n's code of those
-P + r bits (`monsky.four_rank_codes`), at most 2^15 one-byte entries,
-built once per process by the g table's form ranking
+n, of r <= `monsky._TABLE_R` = 5 (all but 23 of the 202,650 n up to
+1e6) reads its 4-ranks from `monsky.four_rank_table(r)` at each n's code
+of those P + r bits (`monsky.four_rank_codes`), at most 2^15 one-byte
+entries, built once per process by the g table's form ranking
 (`monsky._redei_coranks`).  A stack of larger r gets its 4-ranks from
 that ranking directly, on A's row words as `twist_batch` gives them.
 
@@ -58,6 +59,7 @@ import numpy as np
 from .lfun import divisor_sums_batch
 from .monsky import (
     SELMER_FORM,
+    _TABLE_R,
     _redei_coranks,
     form_coranks,
     four_rank_codes,
@@ -234,25 +236,28 @@ def _tally(
 
 def scan(residue: int, limit: int, sieve: PrimeSieve, workers: int = 1) -> DensityReport:
     """Aggregate statistics over squarefree n = residue (mod 8), n <= limit."""
-    return _scan(residue, limit, sieve, workers, certify=False)
+    return _scan((residue,), limit, sieve, workers, certify=False)[0]
 
 
 def _scan(
-    residue: int, limit: int, sieve: PrimeSieve, workers: int, certify: bool
-) -> DensityReport:
-    """`scan` by blocks; past the sieve limit `redei_g_table` raises
+    residues: tuple[int, ...], limit: int, sieve: PrimeSieve, workers: int, certify: bool
+) -> list[DensityReport]:
+    """The `scan` of each residue, from one `map_blocks` pass over the
+    blocks of all of them; past the sieve limit `redei_g_table` raises
     ValueError before any work."""
-    if residue not in (1, 2, 3, 5, 6, 7):
-        raise ValueError(f"residue must be in {{1,2,3,5,6,7}}, got {residue}")
-    rep = DensityReport(residue=residue, limit=limit)
-    blocks = [(residue, lo, hi) for lo, hi in spans(1, limit + 1, BLOCK)]
+    for residue in residues:
+        if residue not in (1, 2, 3, 5, 6, 7):
+            raise ValueError(f"residue must be in {{1,2,3,5,6,7}}, got {residue}")
+    reps = {t: DensityReport(residue=t, limit=limit) for t in residues}
+    certified = {t: [rep.certified] for t, rep in reps.items()}
+    blocks = [(t, lo, hi) for t in residues for lo, hi in spans(1, limit + 1, BLOCK)]
     shared = (sieve, redei_g_table(limit, sieve), certify)
-    certified = [rep.certified]
     for part in map_blocks(_scan_block, blocks, workers, shared):
-        rep.merge(part)
-        certified.append(part.certified)
-    rep.certified = np.concatenate(certified)
-    return rep
+        reps[part.residue].merge(part)
+        certified[part.residue].append(part.certified)
+    for t, rep in reps.items():
+        rep.certified = np.concatenate(certified[t])
+    return list(reps.values())
 
 
 def certified_table(
@@ -267,31 +272,26 @@ def certified_table(
     """
     if residue not in (5, 6, 7):
         raise ValueError(f"certification applies to residues 5, 6, 7; got {residue}")
-    return _scan(residue, limit, sieve, workers, certify=True)
+    return _scan((residue,), limit, sieve, workers, certify=True)[0]
 
 
 def identity_check(
     limit: int, sieve: PrimeSieve, workers: int = 1
 ) -> tuple[int, int, list[tuple[int, str, int, int]]]:
     """Divisor sum against determinant for every row at every squarefree
-    n <= limit: the mismatches of a `scan` of each residue.
+    n <= limit: the mismatches of a `scan` of each residue, whose blocks
+    all go through one `map_blocks` pass (one pool, one g table).
 
     Returns the number of rows and of n checked, and the mismatches as
     (n, row, divisor sum, determinant), sorted by n and then by row.
     """
     rows_checked = n_checked = 0
     bad = []
-    for residue in (1, 2, 3, 5, 6, 7):
-        rep = scan(residue, limit, sieve, workers)
+    for rep in _scan((1, 2, 3, 5, 6, 7), limit, sieve, workers, certify=False):
         n_checked += rep.squarefree_count
-        rows_checked += rep.squarefree_count * len(rows_for_residue(residue))
+        rows_checked += rep.squarefree_count * len(rows_for_residue(rep.residue))
         bad += rep.mismatches
     return rows_checked, n_checked, sorted(bad)
-
-
-# The largest r whose 4-ranks the census reads from `four_rank_table`:
-# 2^15 entries at r = 5, where r = 6 would take 2^21 and about 0.5 s to build.
-_TABLE_R = 5
 
 
 def _census_block(args, sieve) -> FourRankCensus:

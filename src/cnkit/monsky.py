@@ -21,10 +21,11 @@ Scans use its batched mirror, in which A is held as it is in
   once per process, factoring only odd d and ranking the forms of d and
   2d together, and holds the largest table (a limit + 1-byte read-only
   array) until exit;
-- `four_rank_table(r)` holds the 4-rank of n = 3 (mod 4) for each code
-  of `four_rank_codes` (A's upper symbols and y as P + r bits, P =
-  r(r-1)/2), ranked by `_redei_coranks` once per process, so that the
-  census looks each n up instead of building and ranking its form;
+- `four_rank_table(r)`, for r <= `_TABLE_R` = 5, holds the 4-rank of
+  n = 3 (mod 4) for each code of `four_rank_codes` (A's upper symbols
+  and y as P + r bits, P = r(r-1)/2), ranked by `_redei_coranks` once
+  per process, so that the census looks each n up instead of building
+  and ranking its form;
 - the eight row forms are data, one entry each of the `_ROW_FORMS`
   border table, from which `form_coranks` builds several forms of a
   stack of same-r twists straight into row words of the narrowest dtype
@@ -288,6 +289,10 @@ def _redei_coranks(d: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
 # The codes `four_rank_table` decodes and ranks at a time.
 _CODE_SLICE = 4096
 
+# The largest r with a `four_rank_table`: 2^15 entries at r = 5, where
+# r = 6 would take 2^21 and about 0.5 s to build.
+_TABLE_R = 5
+
 
 def four_rank_codes(primes: np.ndarray) -> np.ndarray:
     """The symbol code of each n of a stack of same-r n (`twist_batch`'s
@@ -305,10 +310,13 @@ def four_rank_codes(primes: np.ndarray) -> np.ndarray:
 def four_rank_table(r: int) -> np.ndarray:
     """The 4-rank of n = 3 (mod 4) with r odd primes, indexed by its
     `four_rank_codes` code: a read-only uint8 array of 2^(P + r) entries,
-    P = r(r-1)/2 (32 kB at r = 5), for r <= 7.  Each code is decoded from
-    its 32 low bits into its upper symbols and y, turned into A by
-    `_row_words` and ranked by `_redei_coranks` at d = 3, `_CODE_SLICE`
-    codes at a time."""
+    P = r(r-1)/2 (32 kB at r = 5), for 1 <= r <= `_TABLE_R` (else
+    ValueError, before anything is allocated).  Each code is decoded from
+    its bits into its upper symbols and y, turned into A by `_row_words`
+    and ranked by `_redei_coranks` at d = 3, `_CODE_SLICE` codes at a
+    time."""
+    if not 1 <= r <= _TABLE_R:
+        raise ValueError(f"4-rank tables exist for 1 <= r <= {_TABLE_R}, got {r}")
     width = r * (r - 1) // 2 + r
     table = np.empty(1 << width, dtype=np.uint8)
     for lo, hi in spans(0, table.size, _CODE_SLICE):

@@ -365,13 +365,26 @@ def test_scan_workers_across_blocks():
     assert scan(6, limit, sieve, workers=2) == scan(6, limit, sieve, workers=1)
 
 
-def test_certify_and_identity_check_workers_across_blocks():
+def test_certify_and_identity_check_workers_across_blocks(monkeypatch):
+    # identity_check sends the blocks of all six residues to one pool.
+    from concurrent.futures import ProcessPoolExecutor
+    import cnkit.numtheory as numtheory
+
+    pools = []
+
+    def counting(workers, **kwargs):
+        pools.append(workers)
+        return ProcessPoolExecutor(workers, **kwargs)
+
+    monkeypatch.setattr(numtheory, "ProcessPoolExecutor", counting)
     limit = 140_000  # three blocks
     sieve = sieve_init(limit)
     one, two = certified_table(7, limit, sieve), certified_table(7, limit, sieve, workers=2)
     assert one == two and one.certified.size
     assert np.array_equal(one.certified, two.certified)
+    assert pools == [2]
     assert identity_check(limit, sieve, workers=2) == identity_check(limit, sieve)
+    assert pools == [2, 2]
 
 
 def test_scan_round_builds_one_g_table(sieve, cold_g_table):

@@ -558,6 +558,10 @@ def test_four_rank_tables_built_once_and_read_only(monkeypatch):
     assert built == [1, 2, 3, 4] + [5] * 8  # r = 5 in 8 slices of 4,096 codes
     assert all(monsky.four_rank_table(r) is t for r, t in zip((1, 2, 3, 4, 5), tables))
     assert len(built) == 12  # no rebuild
+    for r in (0, 6):  # refused before anything is allocated or ranked
+        with pytest.raises(ValueError, match="1 <= r <= 5"):
+            monsky.four_rank_table(r)
+    assert len(built) == 12
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
