@@ -3,13 +3,12 @@ residue row: the divisor sum and the determinant form always agree."""
 
 from cnkit.lfun import LCache, verify_rows
 from cnkit.monsky import build_twist, row_matrix, rows_for_residue
-from cnkit.numtheory import factor_squarefree, sieve_init
+from cnkit.numtheory import factor_squarefree, try_factor_squarefree
 
-sieve = sieve_init(10 ** 4)
 cache = LCache()
 
 for n in (5, 6, 7, 15, 33, 34, 41, 210, 1155):
-    f = factor_squarefree(n, sieve)
+    f = factor_squarefree(n)
     t = build_twist(f)
     print(f"n = {n}: odd primes {f.odd_primes}, y = {t.y.tolist()}, z = {t.z.tolist()}")
     for row in rows_for_residue(n % 8):
@@ -24,10 +23,8 @@ for n in (5, 6, 7, 15, 33, 34, 41, 210, 1155):
 
 print("Verifying the identity for every squarefree n up to 10^4 ...")
 bad = 0
-from cnkit.numtheory import try_factor_squarefree
-
 for n in range(1, 10 ** 4 + 1):
-    f = try_factor_squarefree(n, sieve)
+    f = try_factor_squarefree(n)
     if f is None:
         continue
     bad += sum(not c.equal for c in verify_rows(f, cache).values())

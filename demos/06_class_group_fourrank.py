@@ -13,7 +13,7 @@ sieve = sieve_init(10 ** 5)
 print("determinant criterion vs enumerated class groups, n <= 2000:")
 checked = agree = 0
 for n in range(1, 2001):
-    f = try_factor_squarefree(n, sieve)
+    f = try_factor_squarefree(n)
     if f is None:
         continue
     checked += 1
@@ -23,7 +23,7 @@ print(f"  {agree}/{checked} agree")
 
 print("\nspot checks (n, class number, 2-rank, 4-rank):")
 for n in (5, 14, 21, 34, 39, 210):
-    f = try_factor_squarefree(n, sieve)
+    f = try_factor_squarefree(n)
     info = classgroup_oracle(f)
     extra = f"  matrix 4-rank = {four_rank(f)}" if n % 4 == 3 else ""
     print(f"  n={n}: h={info.h}, 2-rank={info.two_rank}, 4-rank={info.four_rank}{extra}")

@@ -27,11 +27,11 @@ from .altsim import (  # noqa: F401
     AltConfig,
     alpha,
     build_alt,
-    classgroup_oracle,
     corank_distribution_mc,
     delta,
     ensemble_config,
     equivalence_check,
     gerth_pmf,
 )
+from .classgroup import classgroup_oracle  # noqa: F401
 from .density import certified_table, fourrank_census, scan  # noqa: F401

@@ -33,18 +33,17 @@ import numpy as np
 
 from . import gf2
 from ._batchrank import pack_rows, rank_batch, row_dtype, tile_matrices
-from .classgroup import ClassGroupInfo, classgroup_oracle
 from .gf2 import F2Matrix, F2Vector
 from .lfun import LCache, divisor_sum
 from .monsky import reciprocal_fill, twist_matrix
 from .numtheory import (
     FactoredInteger,
     ResourceLimitError,
-    factor_small,
     is_square_class,
     jacobi,
     map_blocks,
     spans,
+    try_factor_squarefree,
 )
 
 __all__ = [
@@ -68,8 +67,6 @@ __all__ = [
     "classrank_stationary",
     "gerth_pmf",
     "four_rank",
-    "classgroup_oracle",
-    "ClassGroupInfo",
 ]
 
 
@@ -259,7 +256,7 @@ class CorankHistogram:
         return sum(self.counts.values())
 
 
-def _assignment_bits(cfg: AltConfig, src: BitAssignment):
+def _assignment_bits(src: BitAssignment):
     """Per-prime symbol bits and the A matrix encoded by an assignment."""
     a = reciprocal_fill(src.upper, [_sym_plus(-1, c) for c in src.classes])
     sym = lambda dd: [_sym_plus(dd, c) for c in src.classes]  # noqa: E731
@@ -275,7 +272,7 @@ def build_alt(cfg: AltConfig, source: "FactoredInteger | BitAssignment") -> F2Ma
         a = twist_matrix(source.odd_primes)
         sym = lambda dd: [_sym_plus(dd, p) for p in source.odd_primes]  # noqa: E731
     else:
-        a, sym = _assignment_bits(cfg, source)
+        a, sym = _assignment_bits(source)
         r = source.r
 
     def b_block(q: tuple[int, ...]) -> F2Matrix:
@@ -319,7 +316,7 @@ def family_members(cfg: AltConfig, count: int):
     n = 1
     while n <= FAMILY_HARD_CAP and found < count:
         if cfg.accepts(n):
-            f = factor_small(n)
+            f = try_factor_squarefree(n)
             if f is not None:
                 yield f
                 found += 1

@@ -13,9 +13,12 @@ from math import gcd, isqrt
 
 from .numtheory import FactoredInteger, ResourceLimitError
 
-__all__ = ["ClassGroupInfo", "classgroup_oracle", "discriminant_of"]
+__all__ = ["ORACLE_BOUND", "ClassGroupInfo", "classgroup_oracle", "discriminant_of"]
 
 Form = tuple[int, int, int]
+
+# The largest n the oracle takes by default, where h stays in the hundreds.
+ORACLE_BOUND = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,11 @@ def _principal(disc: int) -> Form:
     return (1, b, (b * b - disc) // 4)
 
 
-def classgroup_oracle(f: FactoredInteger, bound: int = 10 ** 4) -> ClassGroupInfo:
-    """Class number, 2-rank and 4-rank for Q(sqrt(-n)).
+def classgroup_oracle(f: FactoredInteger, bound: int = ORACLE_BOUND) -> ClassGroupInfo:
+    """Class number, 2-rank and 4-rank for Q(sqrt(-n)), n <= bound
+    (else ResourceLimitError).
 
-    Works by full enumeration; intended for modest n (default bound
-    10**4), where the class number stays in the hundreds.
+    Works by full enumeration; intended for modest n.
     """
     n = f.n
     if n > bound:

@@ -36,15 +36,15 @@ from .altsim import (
     gerth_pmf,
     markov_stationary,
 )
-from .classgroup import classgroup_oracle
+from .classgroup import ORACLE_BOUND, classgroup_oracle
 from .density import certified_table, identity_check, scan, wilson_ci
 from .monsky import build_twist, redei_g, row_matrix, rows_for_residue
 from .numtheory import (
     BLOCK,
     ResourceLimitError,
-    enumerate_squarefree,
     factor_squarefree,
     sieve_init,
+    try_factor_squarefree,
 )
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
     rows_checked, n_checked, mismatches = identity_check(args.max_n, sieve, args.workers)
     rows_out = []
     for n, row, sum_value, det_value in mismatches:
-        matrix = row_matrix(row, build_twist(factor_squarefree(n, sieve)))
+        matrix = row_matrix(row, build_twist(factor_squarefree(n)))
         rows_out.append([n, row, sum_value, det_value, json.dumps(matrix.tolist())])
     header = ["n", "row", "sum_value", "det_value", "matrix"]
     _emit(header, rows_out, _meta(args, max_n=args.max_n), args)
@@ -210,12 +210,15 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_classcheck(args) -> int:
-    sieve = sieve_init(max(2, args.max_n))
+    if args.max_n > ORACLE_BOUND:
+        raise ResourceLimitError(
+            f"--max-n {args.max_n} exceeds the class-group oracle bound {ORACLE_BOUND}"
+        )
     disagreements = []
     checked = 0
-    for f in enumerate_squarefree(1, 1, args.max_n, sieve):
+    for f in filter(None, map(try_factor_squarefree, range(1, args.max_n + 1))):
         g = redei_g(f)
-        info = classgroup_oracle(f, bound=args.max_n)
+        info = classgroup_oracle(f)
         checked += 1
         if (g == 1) != (info.four_rank == 0):
             disagreements.append([f.n, g, info.four_rank, info.h])

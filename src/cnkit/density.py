@@ -27,16 +27,15 @@ in one `map_blocks` pass) reports.  The columns share the factorization
 and the symbols but no form: a wrong g or a wrong row form shows as an
 identity mismatch.
 
-The census has no divisor sums and ranks no form of its own: the 4-rank
-of n = 3 (mod 4) is the corank of the r x r g form of n, which reads A
-and not z, and A is fixed by the P = r(r-1)/2 symbols above its diagonal
-and the r bits p_i = 3 (mod 4).  So each same-r stack, at most BLOCK / 4
-n, of r <= `monsky._TABLE_R` = 5 (all but 23 of the 202,650 n up to
-1e6) reads its 4-ranks from `monsky.four_rank_table(r)` at each n's code
-of those P + r bits (`monsky.four_rank_codes`), at most 2^15 one-byte
-entries, built once per process by the g table's form ranking
-(`monsky._redei_coranks`).  A stack of larger r gets its 4-ranks from
-that ranking directly, on A's row words as `twist_batch` gives them.
+The census has no divisor sums and ranks no form of its own: each
+same-r stack, at most BLOCK / 4 n, gets its 4-ranks from one
+`monsky.four_ranks` call.  The 4-rank of n = 3 (mod 4) is the corank of
+the r x r g form of n, which reads A and not z, and A is fixed by the
+P = r(r-1)/2 symbols above its diagonal and the r bits p_i = 3 (mod 4).
+So for r <= 5 (all but 23 of the 202,650 n up to 1e6) `four_ranks`
+looks each n up in a table of at most 2^15 one-byte entries at the code
+of those P + r bits, built once per process by the g table's form
+ranking; for a larger r it ranks the forms of those bits directly.
 
 The block pass has one integer division and no sum across a short
 axis: the factorization divides by the sieve's smallest prime factor in
@@ -59,11 +58,8 @@ import numpy as np
 from .lfun import divisor_sums_batch
 from .monsky import (
     SELMER_FORM,
-    _TABLE_R,
-    _redei_coranks,
     form_coranks,
-    four_rank_codes,
-    four_rank_table,
+    four_ranks,
     redei_g_table,
     rows_for_residue,
     twist_batch,
@@ -296,19 +292,12 @@ def identity_check(
 
 def _census_block(args, sieve) -> FourRankCensus:
     """The 4-rank histogram of the squarefree n = 3 (mod 4) in [lo, hi),
-    counted by `np.bincount`: a stack of r <= `_TABLE_R` reads each n's
-    4-rank from the table of its r at the n's symbol code, a larger one
-    ranks its g forms (`_redei_coranks`)."""
+    counted by `np.bincount` from the `four_ranks` of each stack."""
     lo, hi = args
     census = FourRankCensus(limit=sieve.limit)
     for ns, stack in same_r_stacks(lo, hi, sieve, residue=3, modulus=4):
         census.total += ns.size
-        if stack.shape[1] <= _TABLE_R:
-            ranks = four_rank_table(stack.shape[1]).take(four_rank_codes(stack))
-        else:
-            a, _, z = twist_batch(stack)
-            ranks = _redei_coranks(ns, a, z)
-        _add_counts(census.counts, ranks)
+        _add_counts(census.counts, four_ranks(stack))
     return census
 
 

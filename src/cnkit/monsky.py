@@ -21,11 +21,11 @@ Scans use its batched mirror, in which A is held as it is in
   once per process, factoring only odd d and ranking the forms of d and
   2d together, and holds the largest table (a limit + 1-byte read-only
   array) until exit;
-- `four_rank_table(r)`, for r <= `_TABLE_R` = 5, holds the 4-rank of
-  n = 3 (mod 4) for each code of `four_rank_codes` (A's upper symbols
-  and y as P + r bits, P = r(r-1)/2), ranked by `_redei_coranks` once
-  per process, so that the census looks each n up instead of building
-  and ranking its form;
+- `four_ranks` gives the census the 4-rank of each n = 3 (mod 4) of a
+  stack from A's upper symbols and y, P + r bits (P = r(r-1)/2) taken
+  once: for r <= `_TABLE_R` = 5 it looks them up as one code in
+  `four_rank_table(r)`, ranked by `_redei_coranks` once per process,
+  and for a larger r it ranks them by the same helper (`_code_ranks`);
 - the eight row forms are data, one entry each of the `_ROW_FORMS`
   border table, from which `form_coranks` builds several forms of a
   stack of same-r twists straight into row words of the narrowest dtype
@@ -67,7 +67,7 @@ __all__ = [
     "redei_g",
     "redei_g_parts",
     "redei_g_table",
-    "four_rank_codes",
+    "four_ranks",
     "four_rank_table",
     "row_matrix",
     "row_matrix_parts",
@@ -294,27 +294,38 @@ _CODE_SLICE = 4096
 _TABLE_R = 5
 
 
-def four_rank_codes(primes: np.ndarray) -> np.ndarray:
-    """The symbol code of each n of a stack of same-r n (`twist_batch`'s
-    (count, r) primes), with P = r(r-1)/2: bit k is the k-th symbol above
-    the diagonal of A in `_pair_indices` order, and bit P + i is y_i =
-    [p_i = 3 (mod 4)].  A is a function of the code (reciprocity gives the
-    lower triangle, row parity the diagonal), and so is the 4-rank of
-    n = 3 (mod 4), whose g form reads A and not z."""
+def four_ranks(primes: np.ndarray) -> np.ndarray:
+    """The uint8 4-rank of each n = 3 (mod 4) of a stack of same-r n
+    (`twist_batch`'s (count, r) primes).  Its g form reads A and not z,
+    and A is fixed by the P = r(r-1)/2 symbols above its diagonal and y
+    (reciprocity, row parity), so those P + r bits are taken once: for
+    r <= `_TABLE_R` looked up in `four_rank_table(r)` at their code (bit
+    k the k-th symbol in `_pair_indices` order, bit P + i y_i), and for a
+    larger r ranked by `_code_ranks`."""
     primes = np.asarray(primes, dtype=np.int64)
     y = ((primes & 3) == 3).view(np.uint8)
-    return pack_rows(np.concatenate((_upper_symbols(primes), y), axis=1))[:, 0]
+    bits = np.concatenate((_upper_symbols(primes), y), axis=1)
+    r = primes.shape[1]
+    if r <= _TABLE_R:
+        return four_rank_table(r).take(pack_rows(bits)[:, 0])
+    return _code_ranks(bits, r)
+
+
+def _code_ranks(bits: np.ndarray, r: int) -> np.ndarray:
+    """`four_ranks` from the (count, P + r) 0/1 bits: A by `_row_words`,
+    ranked by `_redei_coranks` at d = 3."""
+    count, width = bits.shape
+    a = _row_words(bits[:, : width - r], bits[:, width - r :])
+    return _redei_coranks(np.full(count, 3), a, np.zeros((count, r), np.uint8)).astype(np.uint8)
 
 
 @cache
 def four_rank_table(r: int) -> np.ndarray:
-    """The 4-rank of n = 3 (mod 4) with r odd primes, indexed by its
-    `four_rank_codes` code: a read-only uint8 array of 2^(P + r) entries,
+    """The 4-rank of n = 3 (mod 4) with r odd primes, indexed by the code
+    of `four_ranks`: a read-only uint8 array of 2^(P + r) entries,
     P = r(r-1)/2 (32 kB at r = 5), for 1 <= r <= `_TABLE_R` (else
-    ValueError, before anything is allocated).  Each code is decoded from
-    its bits into its upper symbols and y, turned into A by `_row_words`
-    and ranked by `_redei_coranks` at d = 3, `_CODE_SLICE` codes at a
-    time."""
+    ValueError, before anything is allocated).  Each code is decoded into
+    its bits and ranked by `_code_ranks`, `_CODE_SLICE` codes at a time."""
     if not 1 <= r <= _TABLE_R:
         raise ValueError(f"4-rank tables exist for 1 <= r <= {_TABLE_R}, got {r}")
     width = r * (r - 1) // 2 + r
@@ -322,8 +333,7 @@ def four_rank_table(r: int) -> np.ndarray:
     for lo, hi in spans(0, table.size, _CODE_SLICE):
         codes = np.arange(lo, hi, dtype="<u4").view(np.uint8).reshape(-1, 4)
         bits = np.unpackbits(codes, axis=1, bitorder="little")
-        a = _row_words(bits[:, : width - r], bits[:, width - r : width])
-        table[lo:hi] = _redei_coranks(np.full(hi - lo, 3), a, np.zeros((hi - lo, r), np.uint8))
+        table[lo:hi] = _code_ranks(bits[:, :width], r)
     table.flags.writeable = False
     return table
 

@@ -4,15 +4,15 @@ Everything downstream consumes bits produced here: Legendre/Jacobi
 symbols in additive (F2) form, and squarefree integers together with
 their ordered odd prime factors.  Both come n by n (the reference) or in
 bulk as numpy arrays (`same_r_stacks`, `legendre_plus_bulk`).
-One n is factored by trial division (`factor_small`); a range is
-factored a block at a time from the smallest-prime-factor table of a
-`PrimeSieve`, which holds odd m only (the pass takes the powers of 2
-out first) and serves only that bulk pass, with bit operations and
-exact float64 quotients instead of integer division.  The pass writes
-each n's primes straight into its stack of exact size (count, r), with
-no padded row per n, and every caller reads the stacks as they are;
-only `enumerate_squarefree`, which yields n by n, merges them back into
-the order of n.  The bulk symbols are one lookup in a table of
+One n is factored by trial division (`try_factor_squarefree`), with no
+table; a range is factored a block at a time from the
+smallest-prime-factor table of a `PrimeSieve`, which holds odd m only
+(the pass takes the powers of 2 out first) and serves only that bulk
+pass, with bit operations and exact float64 quotients instead of
+integer division.  The pass writes each n's primes straight into its
+stack of exact size (count, r), with no padded row per n, and every
+caller reads the stacks as they are; only `enumerate_squarefree`, which
+yields n by n, merges them back into the order of n.  The bulk symbols are one lookup in a table of
 quadratic characters modulo every odd prime below a power of two,
 built once per process and capped at `QR_TABLE_CAP`.
 
@@ -52,7 +52,6 @@ __all__ = [
     "legendre_plus_bulk",
     "QR_TABLE_CAP",
     "is_square_class",
-    "factor_small",
     "enumerate_squarefree",
 ]
 
@@ -79,8 +78,7 @@ class PrimeSieve:
 
     spf[k] is the smallest prime factor of 2k + 1, with spf[0] == 1, so
     spf[p >> 1] == p exactly for odd primes.  Immutable after
-    construction and safe to share between workers.  `limit` also bounds
-    the n the scalar functions accept.
+    construction and safe to share between workers.
     """
 
     limit: int
@@ -118,10 +116,12 @@ def sieve_init(limit: int) -> PrimeSieve:
     return PrimeSieve(limit=limit, spf=spf)
 
 
-def factor_small(n: int) -> FactoredInteger | None:
-    """FactoredInteger for n by trial division, or None when n is not
-    squarefree or n < 1; the one scalar factorization."""
-    if n < 1 or n % 4 == 0:
+def try_factor_squarefree(n: int) -> FactoredInteger | None:
+    """FactoredInteger for n in [1, `SIEVE_LIMIT`] by trial division, or
+    None when n is not squarefree; the one scalar factorization."""
+    if n < 1 or n > SIEVE_LIMIT:
+        raise ValueError(f"n={n} outside [1, {SIEVE_LIMIT}]")
+    if n % 4 == 0:
         return None
     is_even = n % 2 == 0
     m = n // 2 if is_even else n
@@ -137,14 +137,6 @@ def factor_small(n: int) -> FactoredInteger | None:
     if m > 1:
         primes.append(m)
     return FactoredInteger(n=n, odd_primes=tuple(primes), is_even=is_even)
-
-
-def try_factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger | None:
-    """FactoredInteger for n in [1, sieve.limit] by trial division, or None
-    when n is not squarefree."""
-    if n < 1 or n > sieve.limit:
-        raise ValueError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    return factor_small(n)
 
 
 def _factor_range(
@@ -266,9 +258,9 @@ def map_blocks(fn, blocks, workers: int = 1, shared: tuple = ()) -> Iterator:
         yield fn(block, *shared)
 
 
-def factor_squarefree(n: int, sieve: PrimeSieve) -> FactoredInteger:
+def factor_squarefree(n: int) -> FactoredInteger:
     """Like try_factor_squarefree but raising NotSquarefreeError."""
-    f = try_factor_squarefree(n, sieve)
+    f = try_factor_squarefree(n)
     if f is None:
         raise NotSquarefreeError(f"{n} is not squarefree")
     return f

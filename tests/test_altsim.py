@@ -16,7 +16,6 @@ from cnkit.altsim import (
     _transpose_words,
     alpha,
     build_alt,
-    classgroup_oracle,
     classrank_markov_step,
     classrank_stationary,
     corank_distribution_mc,
@@ -33,19 +32,10 @@ from cnkit.altsim import (
     validate_config,
 )
 from cnkit._batchrank import pack_rows, rank_batch
+from cnkit.classgroup import classgroup_oracle
 from cnkit.gf2 import F2Matrix
 from cnkit.lfun import LCache
-from cnkit.numtheory import (
-    ResourceLimitError,
-    factor_squarefree,
-    sieve_init,
-    try_factor_squarefree,
-)
-
-
-@pytest.fixture(scope="module")
-def sieve():
-    return sieve_init(10 ** 5)
+from cnkit.numtheory import ResourceLimitError, factor_squarefree, try_factor_squarefree
 
 
 def test_ensemble_configs_match_reference_rows():
@@ -105,16 +95,16 @@ def test_validate_config_checks_b_block(monkeypatch):
     assert built == []  # B is checked on its rows, without building matrices
 
 
-def test_build_alt_example(sieve):
+def test_build_alt_example():
     cfg = ensemble_config("5a")
-    m = build_alt(cfg, factor_squarefree(5, sieve))
+    m = build_alt(cfg, factor_squarefree(5))
     assert m.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     assert gf2.corank(m) == 1
     with pytest.raises(ValueError):
-        build_alt(cfg, factor_squarefree(7, sieve))
+        build_alt(cfg, factor_squarefree(7))
 
 
-def test_build_alt_alternating(sieve):
+def test_build_alt_alternating():
     rng = np.random.default_rng(21)
     for label in ENSEMBLE_LABELS:
         cfg = ensemble_config(label)
@@ -153,17 +143,17 @@ def test_family_members():
     assert first6 == [3, 7, 11, 15, 19, 23]  # both classes of 3 mod 4
 
 
-def test_equivalence_examples(sieve):
+def test_equivalence_examples():
     cache = LCache()
-    res = equivalence_check("5a", factor_squarefree(5, sieve), cache)
+    res = equivalence_check("5a", factor_squarefree(5), cache)
     assert res.value_nonzero and res.corank == 1 and res.delta == 1 and res.agrees
-    res = equivalence_check("7a", factor_squarefree(7, sieve), cache)
+    res = equivalence_check("7a", factor_squarefree(7), cache)
     assert res.value_nonzero and res.agrees
-    res = equivalence_check("5a", factor_squarefree(13, sieve), cache)
+    res = equivalence_check("5a", factor_squarefree(13), cache)
     assert res.agrees
 
 
-def test_equivalence_sampled_range(sieve):
+def test_equivalence_sampled_range():
     cache = LCache()
     for label in ENSEMBLE_LABELS:
         cfg = ensemble_config(label)
@@ -171,9 +161,9 @@ def test_equivalence_sampled_range(sieve):
             assert equivalence_check(label, f, cache).agrees, (label, f.n)
 
 
-def test_equivalence_membership_error(sieve):
+def test_equivalence_membership_error():
     with pytest.raises(ValueError):
-        equivalence_check("5a", factor_squarefree(7, sieve))
+        equivalence_check("5a", factor_squarefree(7))
 
 
 def test_alpha_values():
@@ -556,27 +546,27 @@ def test_mc_chi_square_not_rejecting():
     assert chi2 < 30  # df = 3; far beyond any sane rejection threshold
 
 
-def test_four_rank_examples(sieve):
-    assert four_rank(factor_squarefree(3, sieve)) == 0
-    assert four_rank(factor_squarefree(15, sieve)) == 0
-    assert four_rank(factor_squarefree(39, sieve)) == 1
+def test_four_rank_examples():
+    assert four_rank(factor_squarefree(3)) == 0
+    assert four_rank(factor_squarefree(15)) == 0
+    assert four_rank(factor_squarefree(39)) == 1
     with pytest.raises(ValueError):
-        four_rank(factor_squarefree(5, sieve))
+        four_rank(factor_squarefree(5))
 
 
-def test_four_rank_against_oracle(sieve):
+def test_four_rank_against_oracle():
     for n in range(3, 2000, 4):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         assert four_rank(f) == classgroup_oracle(f).four_rank, n
 
 
-def test_four_rank_index_independence(sieve):
+def test_four_rank_index_independence():
     from cnkit.monsky import build_twist
 
     for n in range(3, 3000, 4):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None or f.r < 2:
             continue
         a = build_twist(f).a

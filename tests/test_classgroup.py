@@ -8,7 +8,7 @@ from cnkit.classgroup import (
     classgroup_oracle,
     discriminant_of,
 )
-from cnkit.numtheory import ResourceLimitError, factor_squarefree, sieve_init
+from cnkit.numtheory import ResourceLimitError, factor_squarefree
 
 # Class numbers of Q(sqrt(-n)) from standard tables.
 KNOWN_H = {
@@ -19,11 +19,6 @@ KNOWN_H = {
 }
 
 
-@pytest.fixture(scope="module")
-def sieve():
-    return sieve_init(3000)
-
-
 def test_discriminants():
     assert discriminant_of(5) == -20
     assert discriminant_of(14) == -56
@@ -31,16 +26,16 @@ def test_discriminants():
     assert discriminant_of(1) == -4
 
 
-def test_known_class_numbers(sieve):
+def test_known_class_numbers():
     for n, h in KNOWN_H.items():
-        assert classgroup_oracle(factor_squarefree(n, sieve)).h == h, n
+        assert classgroup_oracle(factor_squarefree(n)).h == h, n
 
 
-def test_examples(sieve):
-    info = classgroup_oracle(factor_squarefree(5, sieve))
+def test_examples():
+    info = classgroup_oracle(factor_squarefree(5))
     assert (info.h, info.two_rank, info.four_rank) == (2, 1, 0)
-    assert classgroup_oracle(factor_squarefree(1, sieve)).h == 1
-    info14 = classgroup_oracle(factor_squarefree(14, sieve))
+    assert classgroup_oracle(factor_squarefree(1)).h == 1
+    info14 = classgroup_oracle(factor_squarefree(14))
     assert info14.four_rank == 1
 
 
@@ -68,26 +63,26 @@ def test_group_axioms():
                     )
 
 
-def test_two_sylow_structure(sieve):
+def test_two_sylow_structure():
     # n = 14: Z/4 -> two_rank 1, four_rank 1
-    info = classgroup_oracle(factor_squarefree(14, sieve))
+    info = classgroup_oracle(factor_squarefree(14))
     assert (info.two_rank, info.four_rank) == (1, 1)
     # n = 21: Z/2 x Z/2 -> two_rank 2, four_rank 0
-    info = classgroup_oracle(factor_squarefree(21, sieve))
+    info = classgroup_oracle(factor_squarefree(21))
     assert (info.h, info.two_rank, info.four_rank) == (4, 2, 0)
     # n = 34: Z/4 -> four_rank 1
-    info = classgroup_oracle(factor_squarefree(34, sieve))
+    info = classgroup_oracle(factor_squarefree(34))
     assert (info.two_rank, info.four_rank) == (1, 1)
 
 
-def test_bound(sieve):
+def test_bound():
     with pytest.raises(ResourceLimitError):
-        classgroup_oracle(factor_squarefree(2999, sieve), bound=100)
+        classgroup_oracle(factor_squarefree(2999), bound=100)
 
 
-def test_torsion_and_square_counts_are_powers_of_two(sieve):
+def test_torsion_and_square_counts_are_powers_of_two():
     for n in (30, 42, 66, 70, 102, 105, 110, 130, 210, 330, 390):
-        f = factor_squarefree(n, sieve)
+        f = factor_squarefree(n)
         disc = discriminant_of(n)
         forms = _reduced_forms(disc)
         e = _principal(disc)

@@ -8,12 +8,6 @@ import pytest
 
 from cnkit import altsim, cli
 from cnkit.cli import main
-from cnkit.numtheory import sieve_init
-
-
-@pytest.fixture(scope="module")
-def sieve_2000():
-    return sieve_init(2000)
 
 
 def run(args, capsys):
@@ -167,7 +161,7 @@ def test_classcheck(capsys):
     assert len(out.splitlines()) == 1
 
 
-def test_verify_mismatch_exits_one(sieve_2000, capsys, monkeypatch):
+def test_verify_mismatch_exits_one(capsys, monkeypatch):
     # A flipped g-table entry must show as mismatches: exit 1, sorted by n
     # and then by row, each with its scalar determinant and matrix dump.
     import cnkit.density as density
@@ -190,7 +184,7 @@ def test_verify_mismatch_exits_one(sieve_2000, capsys, monkeypatch):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert len({n % 8 for n, _ in keys}) > 1
     for r in rows:
-        twist = build_twist(factor_squarefree(int(r["n"]), sieve_2000))
+        twist = build_twist(factor_squarefree(int(r["n"])))
         assert json.loads(r["matrix"]) == row_matrix(r["row"], twist).tolist()
         assert int(r["det_value"]) == row_det(r["row"], twist)
         assert int(r["sum_value"]) == 1 - int(r["det_value"])
@@ -216,9 +210,9 @@ def test_certify_mismatch_exits_one(capsys, monkeypatch):
 
 def test_verify_reports_rows_checked(capsys):
     from cnkit.monsky import rows_for_residue
-    from cnkit.numtheory import factor_small
+    from cnkit.numtheory import try_factor_squarefree
 
-    squarefree = [n for n in range(1, 2001) if factor_small(n) is not None]
+    squarefree = [n for n in range(1, 2001) if try_factor_squarefree(n) is not None]
     rows = sum(len(rows_for_residue(n % 8)) for n in squarefree)
     assert main(["verify", "--max-n", "2000"]) == 0
     err = capsys.readouterr().err
@@ -239,7 +233,7 @@ def test_clean_range_builds_no_scalar_twist(capsys, monkeypatch):
         (numtheory, ("try_factor_squarefree", "enumerate_squarefree")),
         (monsky, ("build_twist",)),
         (lfun, ("build_twist", "divisor_sum", "verify_rows")),
-        (cli, ("build_twist", "factor_squarefree", "enumerate_squarefree")),
+        (cli, ("build_twist", "factor_squarefree", "try_factor_squarefree")),
     ):
         for name in names:
             monkeypatch.setattr(mod, name, forbidden)
@@ -349,6 +343,19 @@ def test_sieve_past_the_limit_exits_two(capsys):
     # 2**30 + 1 is refused before the table is allocated.
     assert main(["scan", "--residue", "5", "--max-n", "1073741825"]) == 2
     assert "resource error: sieve limit 1073741825" in capsys.readouterr().err
+
+
+def test_classcheck_past_the_oracle_bound_exits_two(capsys, monkeypatch):
+    # The oracle's own bound, 10**4, is checked before the first n.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an n was checked")
+
+    monkeypatch.setattr(cli, "try_factor_squarefree", forbidden)
+    monkeypatch.setattr(cli, "classgroup_oracle", forbidden)
+    assert main(["classcheck", "--max-n", "10001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource error: --max-n 10001 exceeds the class-group oracle bound 10000" in captured.err
 
 
 def test_simulate_samples_bounded_before_blocks(capsys, monkeypatch):

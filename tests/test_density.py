@@ -53,7 +53,7 @@ def test_certified_table_matches_scalar(sieve, residue):
     cache = LCache()
     want = []
     for n in range(residue, limit + 1, 8):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         hits = [row for row in rows if divisor_sum(row, f, cache)]
@@ -96,7 +96,7 @@ def test_scan_counts_against_direct_enumeration(sieve):
     cache = LCache()
     sf = r3 = n5a = joint = 0
     for n in range(5, 5001, 8):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         sf += 1
@@ -182,7 +182,7 @@ def test_census_small(sieve):
     direct: dict[int, int] = {}
     total = 0
     for n in range(3, 10 ** 4 + 1, 4):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         total += 1
@@ -210,11 +210,12 @@ def test_census_edge_limits(sieve, limit):
 
 
 def test_census_table_path_equals_kernel_path(sieve, monkeypatch):
-    # With no r tabled every stack ranks its g forms (`_redei_coranks`);
-    # the table path gives the same census at 1e5 and at the edge limits.
+    # With no r tabled `monsky.four_ranks` ranks the g forms of every
+    # stack; the table path gives the same census at 1e5 and at the edge
+    # limits.
     limits = (10 ** 5, 0, 1, 2, 3, 65536, 65537, 65539)
     default = [fourrank_census(limit, sieve) for limit in limits]
-    monkeypatch.setattr(density, "_TABLE_R", 0)
+    monkeypatch.setattr(monsky, "_TABLE_R", 0)
     assert [fourrank_census(limit, sieve) for limit in limits] == default
     assert default[0].total == sum(default[0].counts.values()) > 0
 
@@ -237,7 +238,7 @@ def test_metrics_rows(sieve):
     assert any(name.startswith("selmer_rank") for name in names)
 
 
-def _scalar_scan(residue, limit, sieve):
+def _scalar_scan(residue, limit):
     """The per-n scan: verify_rows, rank3_indicator and selmer_rank."""
     from cnkit.density import DensityReport
     from cnkit.lfun import LCache, verify_rows
@@ -247,7 +248,7 @@ def _scalar_scan(residue, limit, sieve):
     cache = LCache()
     rep = DensityReport(residue=residue, limit=limit)
     for n in range(residue, limit + 1, 8):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         rep.squarefree_count += 1
@@ -271,7 +272,7 @@ def _scalar_scan(residue, limit, sieve):
 
 @pytest.mark.parametrize("residue", [1, 2, 3, 5, 6, 7])
 def test_scan_matches_scalar_reference(sieve, residue):
-    assert scan(residue, 6000, sieve) == _scalar_scan(residue, 6000, sieve)
+    assert scan(residue, 6000, sieve) == _scalar_scan(residue, 6000)
 
 
 @pytest.mark.parametrize("residue", [3, 7])
@@ -356,7 +357,7 @@ def test_scan_edge_limits(sieve, residue):
     # 65536 ends the first block, 65537 and 65543 open a second block of
     # one and seven integers.
     for limit in (0, 1, 5, 8, 65536, 65537, 65543):
-        assert scan(residue, limit, sieve) == _scalar_scan(residue, limit, sieve), limit
+        assert scan(residue, limit, sieve) == _scalar_scan(residue, limit), limit
 
 
 def test_scan_workers_across_blocks():

@@ -5,7 +5,6 @@ from cnkit.lfun import LCache, divisor_sum, divisor_sums_batch, lvalue_parity, v
 from cnkit.monsky import redei_g, redei_g_table, rows_for_residue
 from cnkit.numtheory import (
     factor_squarefree,
-    factor_small,
     same_r_stacks,
     sieve_init,
     try_factor_squarefree,
@@ -22,18 +21,18 @@ def cache():
     return LCache()
 
 
-def brute_lvalue(n, sieve):
+def brute_lvalue(n):
     """Direct recursion without masks or memoization."""
     if n == 1:
         return 1
     if n % 8 != 1:
         return 0
-    f = factor_squarefree(n, sieve)
+    f = factor_squarefree(n)
     p = f.odd_primes[0]
     total = 0
     for d in divisors(n):
         if d % p == 0 and d % 8 == 1:
-            total ^= redei_g(factor_squarefree(d, sieve)) & brute_lvalue(n // d, sieve)
+            total ^= redei_g(factor_squarefree(d)) & brute_lvalue(n // d)
     return total
 
 
@@ -51,27 +50,27 @@ def divisors(n):
     return sorted(out)
 
 
-def test_lvalue_examples(sieve, cache):
-    assert lvalue_parity(factor_squarefree(1, sieve), cache) == 1
-    assert lvalue_parity(factor_squarefree(17, sieve), cache) == 0
-    assert lvalue_parity(factor_squarefree(33, sieve), cache) == 1
-    assert lvalue_parity(factor_squarefree(5, sieve), cache) == 0
-    assert lvalue_parity(factor_squarefree(6, sieve), cache) == 0
+def test_lvalue_examples(cache):
+    assert lvalue_parity(factor_squarefree(1), cache) == 1
+    assert lvalue_parity(factor_squarefree(17), cache) == 0
+    assert lvalue_parity(factor_squarefree(33), cache) == 1
+    assert lvalue_parity(factor_squarefree(5), cache) == 0
+    assert lvalue_parity(factor_squarefree(6), cache) == 0
 
 
-def test_lvalue_against_brute_force(sieve, cache):
+def test_lvalue_against_brute_force(cache):
     for n in range(1, 5000, 8):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
-        assert lvalue_parity(f, cache) == brute_lvalue(n, sieve), n
+        assert lvalue_parity(f, cache) == brute_lvalue(n), n
 
 
-def test_lvalue_pivot_independence(sieve, cache):
+def test_lvalue_pivot_independence(cache):
     # the recursion may be anchored at any prime divisor, not only the
     # smallest: recompute with every anchor and compare
     for n in range(9, 10 ** 5, 8):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None or f.r < 2:
             continue
         want = lvalue_parity(f, cache)
@@ -79,32 +78,32 @@ def test_lvalue_pivot_independence(sieve, cache):
             total = 0
             for d in divisors(n):
                 if d % pivot == 0 and d % 8 == 1:
-                    dd = factor_squarefree(d, sieve)
-                    rest = factor_squarefree(n // d, sieve)
+                    dd = factor_squarefree(d)
+                    rest = factor_squarefree(n // d)
                     total ^= redei_g(dd) & lvalue_parity(rest, cache)
             assert total == want, (n, pivot)
 
 
-def test_divisor_sum_examples(sieve, cache):
-    assert divisor_sum("5a", factor_squarefree(5, sieve), cache) == 1
-    assert divisor_sum("7a", factor_squarefree(7, sieve), cache) == 1
-    assert divisor_sum("6", factor_squarefree(6, sieve), cache) == 1
-    assert divisor_sum("5b", factor_squarefree(5, sieve), cache) == 0
-    assert divisor_sum("5b", factor_squarefree(21, sieve), cache) == 1
-    assert divisor_sum("2", factor_squarefree(2, sieve), cache) == 1
+def test_divisor_sum_examples(cache):
+    assert divisor_sum("5a", factor_squarefree(5), cache) == 1
+    assert divisor_sum("7a", factor_squarefree(7), cache) == 1
+    assert divisor_sum("6", factor_squarefree(6), cache) == 1
+    assert divisor_sum("5b", factor_squarefree(5), cache) == 0
+    assert divisor_sum("5b", factor_squarefree(21), cache) == 1
+    assert divisor_sum("2", factor_squarefree(2), cache) == 1
 
 
-def test_divisor_sum_residue_mismatch(sieve, cache):
+def test_divisor_sum_residue_mismatch(cache):
     with pytest.raises(ValueError):
-        divisor_sum("5a", factor_squarefree(7, sieve), cache)
+        divisor_sum("5a", factor_squarefree(7), cache)
     with pytest.raises(ValueError):
-        divisor_sum("x", factor_squarefree(7, sieve), cache)
+        divisor_sum("x", factor_squarefree(7), cache)
 
 
-def brute_row_sum(row, n, sieve, cache):
+def brute_row_sum(row, n, cache):
     """Sums taken literally over integer divisors, no subset tricks."""
-    g = lambda d: redei_g(factor_squarefree(d, sieve))  # noqa: E731
-    lv = lambda m: lvalue_parity(factor_squarefree(m, sieve), cache)  # noqa: E731
+    g = lambda d: redei_g(factor_squarefree(d))  # noqa: E731
+    lv = lambda m: lvalue_parity(factor_squarefree(m), cache)  # noqa: E731
     ds = divisors(n)
     total = 0
     if row == "1":
@@ -153,47 +152,47 @@ def brute_row_sum(row, n, sieve, cache):
 
 def test_divisor_sum_against_literal_sums(sieve, cache):
     for n in range(1, 4000):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         for row in rows_for_residue(n % 8):
-            assert divisor_sum(row, f, cache) == brute_row_sum(row, n, sieve, cache), (
+            assert divisor_sum(row, f, cache) == brute_row_sum(row, n, cache), (
                 n,
                 row,
             )
 
 
-def test_verify_rows_examples(sieve, cache):
-    rep = verify_rows(factor_squarefree(5, sieve), cache)
+def test_verify_rows_examples(cache):
+    rep = verify_rows(factor_squarefree(5), cache)
     assert {k: (v.sum_value, v.det_value) for k, v in rep.items()} == {
         "5a": (1, 1),
         "5b": (0, 0),
     }
-    rep = verify_rows(factor_squarefree(33, sieve), cache)
+    rep = verify_rows(factor_squarefree(33), cache)
     assert rep["1"].sum_value == 1 and rep["1"].det_value == 1 and rep["1"].equal
-    rep = verify_rows(factor_squarefree(6, sieve), cache)
+    rep = verify_rows(factor_squarefree(6), cache)
     assert rep["6"].sum_value == 1 and rep["6"].equal
 
 
-def test_row_identity_to_20000(sieve, cache):
+def test_row_identity_to_20000(cache):
     for n in range(1, 20001):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         for row, check in verify_rows(f, cache).items():
             assert check.equal, (n, row)
 
 
-def test_cache_consistency(sieve):
+def test_cache_consistency():
     # cached values equal fresh recomputation
     warm = LCache()
     for n in range(1, 2000, 8):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         lvalue_parity(f, warm)
     for n, value in list(warm.lvals.items()):
-        assert lvalue_parity(factor_squarefree(n, sieve), LCache()) == value
+        assert lvalue_parity(factor_squarefree(n), LCache()) == value
 
 
 def _batch_and_scalar(residue, limit, sieve, gtable):
@@ -205,7 +204,7 @@ def _batch_and_scalar(residue, limit, sieve, gtable):
     cache = LCache(gvals=dict(enumerate(gtable.tolist())))
     for ns, stack in same_r_stacks(1, limit + 1, sieve, residue, 8):
         got = divisor_sums_batch(residue, ns, stack, gtable)
-        fs = [factor_small(n) for n in ns.tolist()]
+        fs = [try_factor_squarefree(n) for n in ns.tolist()]
         assert [f.odd_primes for f in fs] == list(map(tuple, stack.tolist()))
         want = [[divisor_sum(row, f, cache) for row in rows] for f in fs]
         yield stack.shape[1], got, np.array(want, dtype=bool).reshape(got.shape)

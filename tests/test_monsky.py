@@ -31,7 +31,6 @@ from cnkit.monsky import (
 from cnkit.numtheory import (
     FactoredInteger,
     enumerate_squarefree,
-    factor_small,
     factor_squarefree,
     legendre_plus,
     sieve_init,
@@ -44,28 +43,28 @@ def sieve():
     return sieve_init(10 ** 5)
 
 
-def twist(n, sieve):
-    return build_twist(factor_squarefree(n, sieve))
+def twist(n):
+    return build_twist(factor_squarefree(n))
 
 
-def test_build_twist_examples(sieve):
-    t = twist(15, sieve)
+def test_build_twist_examples():
+    t = twist(15)
     assert t.y.tolist() == [1, 0]
     assert t.z.tolist() == [1, 1]
     assert t.a.tolist() == [[1, 1], [1, 1]]
-    t = twist(33, sieve)
+    t = twist(33)
     assert t.y.tolist() == [1, 1]
     assert t.z.tolist() == [1, 1]
     assert t.a.tolist() == [[1, 1], [0, 0]]
-    t = twist(1, sieve)
+    t = twist(1)
     assert t.y.len == 0 and t.z.len == 0 and t.a.nrows == 0
 
 
-def test_twist_invariants_to_1e5(sieve):
+def test_twist_invariants_to_1e5():
     # rows of A sum to zero, and A + A^T realizes reciprocity, for every
     # squarefree n up to 1e5 (bitwise form keeps this cheap)
     for n in range(1, 10 ** 5 + 1):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         t = build_twist(f)
@@ -76,9 +75,9 @@ def test_twist_invariants_to_1e5(sieve):
             assert xor.rows[i] == want & ~(1 << i), n
 
 
-def test_twist_entries_are_symbols(sieve):
+def test_twist_entries_are_symbols():
     for n in range(1, 3000):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         t = build_twist(f)
@@ -90,20 +89,20 @@ def test_twist_entries_are_symbols(sieve):
                     assert t.a[i, j] == legendre_plus(q, p)
 
 
-def test_redei_g_examples(sieve):
-    assert redei_g(factor_squarefree(5, sieve)) == 1
-    assert redei_g(factor_squarefree(33, sieve)) == 1
-    assert redei_g(factor_squarefree(1, sieve)) == 1
-    assert redei_g(factor_squarefree(2, sieve)) == 1
+def test_redei_g_examples():
+    assert redei_g(factor_squarefree(5)) == 1
+    assert redei_g(factor_squarefree(33)) == 1
+    assert redei_g(factor_squarefree(1)) == 1
+    assert redei_g(factor_squarefree(2)) == 1
     for q in (3, 7, 11, 19, 23):
-        assert redei_g(factor_squarefree(q, sieve)) == 1
-    assert redei_g(factor_squarefree(14, sieve)) == 0
+        assert redei_g(factor_squarefree(q)) == 1
+    assert redei_g(factor_squarefree(14)) == 0
 
 
-def test_redei_g_index_independence(sieve):
+def test_redei_g_index_independence():
     # the free column (and row) choice in the determinant never matters
     for n in range(1, 10 ** 4):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None or f.is_even or f.r == 0:
             continue
         t = build_twist(f)
@@ -125,29 +124,29 @@ def test_redei_g_index_independence(sieve):
         assert vals.pop() == redei_g(f)
 
 
-def test_row_matrix_examples(sieve):
-    assert row_matrix("5a", twist(5, sieve)).tolist() == [
+def test_row_matrix_examples():
+    assert row_matrix("5a", twist(5)).tolist() == [
         [0, 0, 1],
         [0, 1, 0],
         [1, 0, 0],
     ]
-    assert row_matrix("1", twist(33, sieve)).tolist() == [
+    assert row_matrix("1", twist(33)).tolist() == [
         [0, 1, 1, 0],
         [1, 0, 1, 0],
         [1, 1, 1, 0],
         [0, 0, 0, 1],
     ]
-    assert row_matrix("6", twist(6, sieve)).tolist() == [
+    assert row_matrix("6", twist(6)).tolist() == [
         [0, 0, 1],
         [0, 1, 1],
         [1, 1, 0],
     ]
 
 
-def test_row_matrix_dimensions(sieve):
+def test_row_matrix_dimensions():
     dims = {"1": 0, "2": 0, "3": 1, "5a": 1, "5b": 1, "6": 1, "7a": 2, "7b": 2}
     for n in (17, 10, 3, 5, 6, 7, 33, 30, 35, 39):
-        f = factor_squarefree(n, sieve)
+        f = factor_squarefree(n)
         t = build_twist(f)
         for row in rows_for_residue(n % 8):
             m = row_matrix(row, t)
@@ -155,24 +154,24 @@ def test_row_matrix_dimensions(sieve):
             assert m.nrows == m.ncols
 
 
-def test_row_det_examples(sieve):
-    assert row_det("5a", twist(5, sieve)) == 1
-    assert row_det("1", twist(17, sieve)) == 0
-    assert row_det("6", twist(6, sieve)) == 1
+def test_row_det_examples():
+    assert row_det("5a", twist(5)) == 1
+    assert row_det("1", twist(17)) == 0
+    assert row_det("6", twist(6)) == 1
 
 
-def test_row_residue_mismatch(sieve):
+def test_row_residue_mismatch():
     with pytest.raises(ValueError):
-        row_matrix("1", twist(5, sieve))
+        row_matrix("1", twist(5))
     with pytest.raises(ValueError):
-        row_matrix("bogus", twist(5, sieve))
+        row_matrix("bogus", twist(5))
 
 
-def test_restriction_compatibility(sieve):
+def test_restriction_compatibility():
     # the matrix of a divisor is the row-normalized restriction of the
     # full matrix, for every odd divisor and every applicable row
     for n in (15, 33, 105, 165, 195, 231, 255, 1155, 3003):
-        f = factor_squarefree(n, sieve)
+        f = factor_squarefree(n)
         t = build_twist(f)
         r = f.r
         for mask in range(1, 1 << r):
@@ -181,7 +180,7 @@ def test_restriction_compatibility(sieve):
             for i in range(r):
                 if (mask >> i) & 1:
                     d *= f.odd_primes[i]
-            fd = factor_squarefree(d, sieve)
+            fd = factor_squarefree(d)
             td = build_twist(fd)
             a_s = gf2.rows_normalized(t.a, members, members)
             assert a_s.tolist() == td.a.tolist()
@@ -212,8 +211,8 @@ def test_aux_p_identity():
             assert got == 0
 
 
-def test_aux_p_example(sieve):
-    t = twist(15, sieve)
+def test_aux_p_example():
+    t = twist(15)
     assert t.y.parity() == 1
     assert gf2.det(aux_p(t.a, t.y, t.z)) == 0
 
@@ -230,15 +229,15 @@ def test_aux_t_identity_odd_parity():
         assert gf2.det(aux_t(a, y, z)) == gf2.det(a + F2Matrix.diag(z))
 
 
-def test_aux_n_example(sieve):
-    t = twist(5, sieve)
+def test_aux_n_example():
+    t = twist(5)
     assert gf2.det(aux_n(t.a, t.z, t.y)) == 0
 
 
-def test_aux_n_divisor_identity(sieve):
+def test_aux_n_divisor_identity():
     # det N(A, z, y) equals the reduced pair sum over d = 3 (mod 8)
     for n in range(5, 20000, 8):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         t = build_twist(f)
@@ -251,8 +250,8 @@ def test_aux_n_divisor_identity(sieve):
                 if (mask >> i) & 1:
                     d *= f.odd_primes[i]
             if d % 8 == 3:
-                rhs ^= redei_g(factor_squarefree(d, sieve)) & redei_g(
-                    factor_squarefree(n // d, sieve)
+                rhs ^= redei_g(factor_squarefree(d)) & redei_g(
+                    factor_squarefree(n // d)
                 )
         assert lhs == rhs, n
 
@@ -266,15 +265,15 @@ def test_det_recursion_identity():
         assert lhs == det_recursion_rhs(a, y, z)
 
 
-def test_selmer_rank_examples(sieve):
-    assert selmer_rank(twist(3, sieve)) == 2
-    assert selmer_rank(twist(17, sieve)) == 4
-    assert selmer_rank(twist(33, sieve)) == 2
+def test_selmer_rank_examples():
+    assert selmer_rank(twist(3)) == 2
+    assert selmer_rank(twist(17)) == 4
+    assert selmer_rank(twist(33)) == 2
     with pytest.raises(ValueError):
-        selmer_rank(twist(5, sieve))
+        selmer_rank(twist(5))
 
 
-def test_selmer_rank_against_known_arithmetic(sieve):
+def test_selmer_rank_against_known_arithmetic():
     # Sel2 rank = Mordell-Weil rank + 2 (torsion) + dim Sha[2], with the
     # right side known for these classical twists.
     known = {
@@ -284,18 +283,18 @@ def test_selmer_rank_against_known_arithmetic(sieve):
         1: 2, 2: 2, 3: 2, 10: 2, 11: 2, 19: 2, 26: 2,  # rank 0, trivial Sha[2]
     }
     for n, want in known.items():
-        assert selmer_rank(twist(n, sieve)) == want, n
+        assert selmer_rank(twist(n)) == want, n
     # classical small congruent numbers have rank 1, hence Selmer rank 3
     for n in (5, 6, 7, 13, 14, 15, 21, 22, 23, 29, 30, 31):
-        assert rank3_indicator(twist(n, sieve)), n
+        assert rank3_indicator(twist(n)), n
 
 
-def test_rank3_examples(sieve):
-    assert rank3_indicator(twist(5, sieve))
-    assert rank3_indicator(twist(6, sieve))
-    assert rank3_indicator(twist(7, sieve))
+def test_rank3_examples():
+    assert rank3_indicator(twist(5))
+    assert rank3_indicator(twist(6))
+    assert rank3_indicator(twist(7))
     with pytest.raises(ValueError):
-        rank3_indicator(twist(3, sieve))
+        rank3_indicator(twist(3))
 
 
 def test_random_constrained_triple_constraints():
@@ -316,11 +315,11 @@ def _bits(vals, r):
 
 
 @pytest.fixture(scope="module")
-def twists(sieve):
+def twists():
     """The twists of every squarefree n <= 1e5, by (n mod 8, r)."""
     groups = {}
     for n in range(1, 10 ** 5 + 1):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is not None:
             groups.setdefault((n % 8, f.r), []).append(build_twist(f))
     return groups
@@ -404,13 +403,13 @@ def test_form_coranks_match_scalar_to_1e5(twists):
                 assert got[form] == want, (tw.f.n, form)
 
 
-def test_twist_batch_matches_build_twist_to_1e5(sieve):
+def test_twist_batch_matches_build_twist_to_1e5():
     """twist_batch equals build_twist for every squarefree n <= 1e5, the
     even n and r = 0 included, stacked by r: A as the row words of
     `F2Matrix.rows` in row_dtype(r), y and z as bits."""
     groups = {}
     for n in range(1, 10 ** 5 + 1):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is not None:
             groups.setdefault(f.r, []).append(build_twist(f))
     assert 0 in groups
@@ -466,7 +465,7 @@ def test_redei_coranks_match_four_rank_to_1e5(sieve):
         assert got.tolist() == [four_rank(f) for f in fs], r
 
 
-def test_redei_coranks_edges(sieve):
+def test_redei_coranks_edges():
     # r = 0: the empty forms of d = 1 and 2; r = 1: every p = 3 (mod 4)
     # has 4-rank 0; 39 = 3 * 13 has 4-rank 1.
     a, _, z = twist_batch(np.zeros((2, 0), np.int64))
@@ -479,7 +478,7 @@ def test_redei_coranks_edges(sieve):
     d = np.array([15, 30, 39, 78, 65, 130, 21, 42])
     a, _, z = twist_batch(np.array([[3, 5], [3, 13], [5, 13], [3, 7]]).repeat(2, axis=0))
     got = monsky._redei_coranks(d, a, z) == 0
-    assert got.tolist() == [redei_g(factor_squarefree(int(n), sieve)) == 1 for n in d]
+    assert got.tolist() == [redei_g(factor_squarefree(int(n))) == 1 for n in d]
 
 
 @pytest.mark.parametrize("r", [6, 7, 8])
@@ -487,9 +486,10 @@ def test_batch_paths_match_scalar_at_r_6_to_8(r):
     """Seeded stacks of r distinct odd primes below 200 (products within
     int64, past the r <= 5 of the 1e5 sweeps): twist_batch's A words are
     build_twist's rows, every form_coranks label is the scalar corank of
-    row_matrix_parts, and _redei_coranks is four_rank at n = 3 (mod 4)."""
+    row_matrix_parts, and _redei_coranks and the ranking branch of
+    four_ranks are four_rank at n = 3 (mod 4)."""
     rng = np.random.default_rng(1603 + r)
-    odd_primes = [p for p in range(3, 200, 2) if (f := factor_small(p)) and f.r == 1]
+    odd_primes = [p for p in range(3, 200, 2) if (f := try_factor_squarefree(p)) and f.r == 1]
     rows = np.sort([rng.choice(odd_primes, r, replace=False) for _ in range(40)], axis=1)
     fs = [FactoredInteger(int(np.prod(row)), tuple(row.tolist()), False) for row in rows]
     twists = [build_twist(f) for f in fs]
@@ -504,10 +504,11 @@ def test_batch_paths_match_scalar_at_r_6_to_8(r):
     assert three.size
     got = monsky._redei_coranks(ns, a, z)[three]
     assert got.tolist() == [four_rank(fs[k]) for k in three]
+    assert monsky.four_ranks(rows[three]).tolist() == got.tolist()
 
 
 def _decode(code, r):
-    """The (upper rows, y) of a `four_rank_codes` code: bit k is the k-th
+    """The (upper rows, y) of a `four_ranks` code: bit k is the k-th
     pair (i, j) of triu_indices(r, 1), bit P + i is y_i."""
     upper = [0] * r
     for k, (i, j) in enumerate(zip(*(v.tolist() for v in np.triu_indices(r, 1)))):
@@ -529,15 +530,20 @@ def test_four_rank_table_is_redei_coranks_of_every_code(r):
 
 
 def test_four_rank_table_agrees_with_four_rank(sieve):
-    """A seeded sample of n = 3 (mod 4) up to 1e5 (r = 1 to 5) reads the
-    scalar four_rank of n at its code, and a seeded sample of codes at
-    r = 5 the corank of A without row and column 1."""
+    """`four_ranks` of a seeded sample of n = 3 (mod 4) up to 1e5 (r = 1
+    to 5, the table branch), stacked by r, is the scalar four_rank of
+    each n, and a seeded sample of codes at r = 5 reads the corank of A
+    without row and column 1."""
     rng = np.random.default_rng(1934)
     fs = list(enumerate_squarefree(3, 4, sieve.limit, sieve))
-    for k in rng.choice(len(fs), 400, replace=False):
-        f = fs[k]
-        code = monsky.four_rank_codes(np.array([f.odd_primes]))
-        assert monsky.four_rank_table(f.r)[code[0]] == four_rank(f), f.n
+    by_r = {}
+    for k in sorted(rng.choice(len(fs), 400, replace=False)):
+        by_r.setdefault(fs[k].r, []).append(fs[k])
+    assert sorted(by_r) == [1, 2, 3, 4, 5]
+    for r, group in by_r.items():
+        got = monsky.four_ranks(np.array([f.odd_primes for f in group]))
+        assert got.dtype == np.uint8
+        assert got.tolist() == [four_rank(f) for f in group], r
     idx = tuple(range(2, 6))
     for code in rng.integers(0, 1 << 15, 200).tolist():
         want = gf2.corank(gf2.submatrix(reciprocal_fill(*_decode(code, 5)), idx, idx))
@@ -577,7 +583,7 @@ def test_redei_g_table_matches_redei_g_to_1e5(sieve):
     table = _fresh_g_table(limit, sieve)
     assert len(table) == limit + 1
     for d in range(1, limit + 1):
-        f = try_factor_squarefree(d, sieve)
+        f = try_factor_squarefree(d)
         want = redei_g(f) if f is not None else 0
         assert table[d] == want, d
     assert table[0] == 0
@@ -589,7 +595,7 @@ def test_redei_g_table_every_small_limit(sieve):
     """Each limit up to 64 cuts the doubled d at another place, odd and
     even limits alike."""
     want = [0] + [
-        redei_g(f) if (f := try_factor_squarefree(d, sieve)) is not None else 0
+        redei_g(f) if (f := try_factor_squarefree(d)) is not None else 0
         for d in range(1, 65)
     ]
     for limit in range(65):

@@ -14,7 +14,6 @@ from cnkit.numtheory import (
     NotSquarefreeError,
     ResourceLimitError,
     enumerate_squarefree,
-    factor_small,
     factor_squarefree,
     is_square_class,
     jacobi,
@@ -95,22 +94,40 @@ def test_sieve_budget(monkeypatch):
     assert sieve_init(249).limit == 249  # just within
 
 
-def test_factor_squarefree_basic(sieve):
-    f = factor_squarefree(15, sieve)
+def test_factor_squarefree_basic():
+    f = factor_squarefree(15)
     assert f.odd_primes == (3, 5) and not f.is_even
-    f = factor_squarefree(6, sieve)
+    f = factor_squarefree(6)
     assert f.odd_primes == (3,) and f.is_even
     with pytest.raises(NotSquarefreeError):
-        factor_squarefree(12, sieve)
-    assert try_factor_squarefree(12, sieve) is None
+        factor_squarefree(12)
+    assert try_factor_squarefree(12) is None
     with pytest.raises(ValueError):
-        factor_squarefree(10 ** 5 + 1, sieve)
+        factor_squarefree(SIEVE_LIMIT + 1)
 
 
-def test_factor_reconstruction(sieve):
+def test_scalar_factorization_bounds_and_no_sieve(monkeypatch):
+    # Trial division takes any n in [1, SIEVE_LIMIT] and builds no table.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sieve was built")
+
+    monkeypatch.setattr(numtheory, "sieve_init", forbidden)
+    monkeypatch.setattr(numtheory, "PrimeSieve", forbidden)
+    for fn in (try_factor_squarefree, factor_squarefree):
+        for n in (0, -1, SIEVE_LIMIT + 1):
+            with pytest.raises(ValueError, match="outside"):
+                fn(n)
+    assert try_factor_squarefree(SIEVE_LIMIT) is None  # 3**2 * 7 * 11 * 31 * 151 * 331
+    f = factor_squarefree(SIEVE_LIMIT - 1)
+    assert f.odd_primes == (233, 1103, 2089) and f.is_even
+    f = factor_squarefree(1073741789)  # the largest prime below 2**30
+    assert f.odd_primes == (1073741789,) and not f.is_even
+
+
+def test_factor_reconstruction():
     # every squarefree n <= 1e5 rebuilds exactly
     for n in range(1, 10 ** 5 + 1):
-        f = try_factor_squarefree(n, sieve)
+        f = try_factor_squarefree(n)
         if f is None:
             continue
         prod = 2 if f.is_even else 1
@@ -204,7 +221,7 @@ def test_enumerate_squarefree(sieve):
 def test_enumerate_squarefree_matches_trial_division(sieve, residue, modulus):
     # Up to 1e5, past the first BLOCK boundary at 65536.
     assert sieve.limit > numtheory.BLOCK
-    want = [f for n in range(residue, sieve.limit + 1, modulus) if (f := factor_small(n))]
+    want = [f for n in range(residue, sieve.limit + 1, modulus) if (f := try_factor_squarefree(n))]
     assert list(enumerate_squarefree(residue, modulus, sieve.limit, sieve)) == want
     # A limit past the sieve fails before the first n.
     with pytest.raises(ValueError, match="exceeds sieve limit"):
@@ -218,10 +235,11 @@ def test_factored_integer_r():
 
 def _scalar_range(lo, hi, residue=0, modulus=1):
     # Trial division: an oracle that shares no code or table with the sieve.
+    # n < 1 has no factorization.
     out = []
-    for n in range(lo, hi):
+    for n in range(max(lo, 1), hi):
         if n % modulus == residue % modulus:
-            f = factor_small(n)
+            f = try_factor_squarefree(n)
             if f is not None:
                 out.append((n, f.odd_primes))
     return out
