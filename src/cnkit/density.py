@@ -14,18 +14,23 @@ passed with the sieve to every block as an argument, so no run leaves
 state here.  Each block of `BLOCK` integers is factored once and yields
 its n as one stack per prime count r (`numtheory.same_r_stacks`), at
 most BLOCK / 8 n.  A stack gets its divisor sums from
-`lfun.divisor_sums_batch` (cut to `lfun.PAIR_BUDGET` pairs) and its
-determinant forms from one `monsky.twist_batch` call, which gives A as
-row words, and one `monsky.form_coranks` call, which builds the forms
-straight from those words (one uint8, uint16 or uint32 word a row, by
-the form's width) and ranks every row form and the Selmer form together.
+`lfun.divisor_sums_batch` (cut to `lfun.PAIR_BUDGET` pairs) and the
+coranks of its row forms and its Selmer form from one
+`monsky.row_coranks` call.  Every form reads only the P = r(r-1)/2
+symbols above A's diagonal and the bits y and z, so for 1 <= r <= 4
+(all but 21, 12 and 22 of the n = 5, 6 and 7 (mod 8) up to 1e5)
+`row_coranks` looks each n up at the code of those P + 2r bits in a
+table of at most 2^14 entries a form, built once per process by
+`monsky.form_coranks`; for any other r it builds and ranks the forms of
+those bits directly.
 Every stack records each (n, row) whose two columns differ, so the
 identity is checked on every n that a scan counts, that
 `certified_table` certifies (the row is the first nonzero sum) and that
 `identity_check` (a scan of each of the six residues, all their blocks
 in one `map_blocks` pass) reports.  The columns share the factorization
-and the symbols but no form: a wrong g or a wrong row form shows as an
-identity mismatch.
+and the symbols but no form or table: the divisor sums read the g table
+at each divisor of the actual n, so a wrong g, a wrong row form or a
+wrong form-table entry shows as an identity mismatch.
 
 The census has no divisor sums and ranks no form of its own: each
 same-r stack, at most BLOCK / 4 n, gets its 4-ranks from one
@@ -35,14 +40,16 @@ P = r(r-1)/2 symbols above its diagonal and the r bits p_i = 3 (mod 4).
 So for r <= 5 (all but 23 of the 202,650 n up to 1e6) `four_ranks`
 looks each n up in a table of at most 2^15 one-byte entries at the code
 of those P + r bits, built once per process by the g table's form
-ranking; for a larger r it ranks the forms of those bits directly.
+ranking, the same way; for a larger r it ranks the forms of those bits
+directly.
 
 The block pass has one integer division and no sum across a short
 axis: the factorization divides by the sieve's smallest prime factor in
 exact float64 and takes the stack of each prime count r once, at exact
 size, from its table of primes; the twist reads p mod 4 and p mod 8
-from low bits and packs the symbols once, into A's row words (diagonal
-from the popcount parity of each row) or into the census's codes; and
+from low bits and packs the symbols once, into the codes of the scan's
+and the census's tables or, past them, into A's row words (diagonal
+from the popcount parity of each row); and
 the 4-rank and Selmer-rank histograms are `np.bincount`s.  The division
 left is the int64 `d % p` of `numtheory.legendre_plus_bulk`, which
 indexes the quadratic-residue table: a float64 remainder measured slower
@@ -56,14 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lfun import divisor_sums_batch
-from .monsky import (
-    SELMER_FORM,
-    form_coranks,
-    four_ranks,
-    redei_g_table,
-    rows_for_residue,
-    twist_batch,
-)
+from .monsky import SELMER_FORM, four_ranks, redei_g_table, row_coranks, rows_for_residue
 from .numtheory import BLOCK, PrimeSieve, map_blocks, same_r_stacks, spans
 
 __all__ = [
@@ -188,22 +188,21 @@ def _scan_block(args, sieve, gtable, certify) -> DensityReport:
     for ns, stack in same_r_stacks(lo, hi, sieve, residue, 8):
         rep.squarefree_count += ns.size
         sums = divisor_sums_batch(residue, ns, stack, gtable)
-        _tally(rep, ns, sums, *twist_batch(stack), certify)
+        _tally(rep, ns, sums, stack, certify)
     rep.mismatches.sort()
     rep.certified = rep.certified.take(np.argsort(rep.certified["n"]))
     return rep
 
 
 def _tally(
-    rep: DensityReport, ns: np.ndarray, sums: np.ndarray,
-    a: np.ndarray, y: np.ndarray, z: np.ndarray, certify: bool,
+    rep: DensityReport, ns: np.ndarray, sums: np.ndarray, primes: np.ndarray, certify: bool
 ) -> None:
     """Add a stack of same-r n, given by their (count, rows) divisor sums
-    and their `twist_batch` arrays, to the report."""
+    and their (count, r) odd primes, to the report."""
     rows = rows_for_residue(rep.residue)
     form, value = SELMER_FORM[rep.residue]
     labels = rows if form in rows else rows + (form,)
-    coranks = form_coranks(labels, a, y, z)
+    coranks = row_coranks(labels, primes)
     dets = (coranks[: len(rows)] == 0).T
     differ = sums != dets
     rep.identity_mismatches += int(differ.any(axis=1).sum())

@@ -21,17 +21,22 @@ Scans use its batched mirror, in which A is held as it is in
   once per process, factoring only odd d and ranking the forms of d and
   2d together, and holds the largest table (a limit + 1-byte read-only
   array) until exit;
-- `four_ranks` gives the census the 4-rank of each n = 3 (mod 4) of a
-  stack from A's upper symbols and y, P + r bits (P = r(r-1)/2) taken
-  once: for r <= `_TABLE_R` = 5 it looks them up as one code in
-  `four_rank_table(r)`, ranked by `_redei_coranks` once per process,
-  and for a larger r it ranks them by the same helper (`_code_ranks`);
 - the eight row forms are data, one entry each of the `_ROW_FORMS`
   border table, from which `form_coranks` builds several forms of a
   stack of same-r twists straight into row words of the narrowest dtype
   that holds a row (A^T taken from A's words by reciprocity, with no
   transpose packed; y, z and y + z taken as bits and as words; no m x m
-  bit array) and ranks them with one `rank_batch` call.
+  bit array) and ranks them with one `rank_batch` call;
+- every form reads only A, y and z, and A is fixed by the P = r(r-1)/2
+  symbols above its diagonal and y, so a stack's bits are taken once
+  (`_symbol_bits`) and, up to `_CODE_BITS` = 15 of them, looked up as
+  one code in a table built once per process over every code
+  (`_code_table`, `_CODE_SLICE` codes at a time); past that they are
+  ranked.  `four_ranks` gives the census the 4-rank of each n = 3
+  (mod 4) from P + r bits (`four_rank_table(r)`, ranked by
+  `_redei_coranks`, r <= 5), and `row_coranks` gives the scan the
+  coranks of its row and Selmer forms from P + 2r bits
+  (`form_table(labels, r)`, ranked by `form_coranks`, r <= 4).
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ __all__ = [
     "redei_g_table",
     "four_ranks",
     "four_rank_table",
+    "row_coranks",
+    "form_table",
     "row_matrix",
     "row_matrix_parts",
     "row_det",
@@ -158,10 +165,7 @@ def twist_batch(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ValueError), and A from those and y by `_row_words`.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    low = primes & 7
-    y = ((low & 3) == 3).view(np.uint8)
-    z = ((low == 3) | (low == 5)).view(np.uint8)
-    return _row_words(_upper_symbols(primes), y), y, z
+    return _code_twist(_symbol_bits(primes, with_z=True), primes.shape[1])
 
 
 def _upper_symbols(primes: np.ndarray) -> np.ndarray:
@@ -286,56 +290,113 @@ def _redei_coranks(d: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return r - rank_batch(rows[..., None])
 
 
-# The codes `four_rank_table` decodes and ranks at a time.
+# The widest code of symbol bits that is looked up in a table rather
+# than ranked: 2^15 one-byte entries a form.  The census's 4-rank codes
+# (P + r bits) reach r = 5 and the scan's form codes (P + 2r bits) r = 4;
+# r = 6 would take 2^21 census codes and about 0.5 s to build.
+_CODE_BITS = 15
+
+# The codes `_code_table` decodes and ranks at a time.
 _CODE_SLICE = 4096
 
-# The largest r with a `four_rank_table`: 2^15 entries at r = 5, where
-# r = 6 would take 2^21 and about 0.5 s to build.
-_TABLE_R = 5
+
+def _symbol_bits(primes: np.ndarray, with_z: bool) -> np.ndarray:
+    """The (count, P + r) 0/1 bits of a stack of same-r n (`twist_batch`'s
+    primes) that fix A: the P = r(r-1)/2 symbols above its diagonal in
+    `_pair_indices` order, then y; then z too (P + 2r bits) if with_z.
+    Bit k of an n's code is its k-th bit here."""
+    low = primes & 7
+    parts = [_upper_symbols(primes), ((low & 3) == 3).view(np.uint8)]
+    if with_z:
+        parts.append(((low == 3) | (low == 5)).view(np.uint8))
+    return np.concatenate(parts, axis=1)
+
+
+def _code_twist(bits: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, y, z) as `twist_batch` gives them from the `_symbol_bits` of a
+    stack, A by `_row_words`; z is zero where the bits end at y."""
+    p = r * (r - 1) // 2
+    y, z = bits[:, p : p + r], bits[:, p + r :]
+    if z.shape[1] < r:
+        z = np.zeros_like(y)
+    return _row_words(bits[:, :p], y), y, z
+
+
+def _code_table(r: int, vectors: int, rank) -> np.ndarray:
+    """rank(bits) of every code of the P + vectors * r bits of
+    `_symbol_bits` (vectors 1 for y, 2 for y and z), as a read-only uint8
+    array whose last axis is the code, for 1 <= r and at most
+    `_CODE_BITS` bits (else ValueError, before anything is allocated).
+    The codes are decoded into 0/1 bits, bit k of a code in column k,
+    `_CODE_SLICE` at a time, and rank maps each (count, bits) slice to
+    (..., count) values."""
+    width = r * (r - 1) // 2 + vectors * r
+    if r < 1 or width > _CODE_BITS:
+        top = max(k for k in range(_CODE_BITS + 1) if k * (k - 1) // 2 + vectors * k <= _CODE_BITS)
+        raise ValueError(f"tables of P + {vectors}r code bits exist for 1 <= r <= {top}, got {r}")
+    parts = []
+    for lo, hi in spans(0, 1 << width, _CODE_SLICE):
+        codes = np.arange(lo, hi, dtype="<u4").view(np.uint8).reshape(-1, 4)
+        bits = np.unpackbits(codes, axis=1, bitorder="little")
+        parts.append(rank(bits[:, :width]).astype(np.uint8))
+    table = np.concatenate(parts, axis=-1)
+    table.flags.writeable = False
+    return table
 
 
 def four_ranks(primes: np.ndarray) -> np.ndarray:
     """The uint8 4-rank of each n = 3 (mod 4) of a stack of same-r n
     (`twist_batch`'s (count, r) primes).  Its g form reads A and not z,
-    and A is fixed by the P = r(r-1)/2 symbols above its diagonal and y
-    (reciprocity, row parity), so those P + r bits are taken once: for
-    r <= `_TABLE_R` looked up in `four_rank_table(r)` at their code (bit
-    k the k-th symbol in `_pair_indices` order, bit P + i y_i), and for a
-    larger r ranked by `_code_ranks`."""
+    so the P + r bits of `_symbol_bits` are taken once: up to
+    `_CODE_BITS` of them (r <= 5) looked up in `four_rank_table(r)` at
+    their code, and more ranked by `_code_ranks`."""
     primes = np.asarray(primes, dtype=np.int64)
-    y = ((primes & 3) == 3).view(np.uint8)
-    bits = np.concatenate((_upper_symbols(primes), y), axis=1)
+    bits = _symbol_bits(primes, with_z=False)
     r = primes.shape[1]
-    if r <= _TABLE_R:
+    if 0 < bits.shape[1] <= _CODE_BITS:
         return four_rank_table(r).take(pack_rows(bits)[:, 0])
     return _code_ranks(bits, r)
 
 
 def _code_ranks(bits: np.ndarray, r: int) -> np.ndarray:
-    """`four_ranks` from the (count, P + r) 0/1 bits: A by `_row_words`,
-    ranked by `_redei_coranks` at d = 3."""
-    count, width = bits.shape
-    a = _row_words(bits[:, : width - r], bits[:, width - r :])
-    return _redei_coranks(np.full(count, 3), a, np.zeros((count, r), np.uint8)).astype(np.uint8)
+    """`four_ranks` from the (count, P + r) bits of `_symbol_bits`: the
+    forms of `_code_twist` ranked by `_redei_coranks` at d = 3."""
+    a, _, z = _code_twist(bits, r)
+    return _redei_coranks(np.full(bits.shape[0], 3), a, z).astype(np.uint8)
 
 
 @cache
 def four_rank_table(r: int) -> np.ndarray:
     """The 4-rank of n = 3 (mod 4) with r odd primes, indexed by the code
     of `four_ranks`: a read-only uint8 array of 2^(P + r) entries,
-    P = r(r-1)/2 (32 kB at r = 5), for 1 <= r <= `_TABLE_R` (else
-    ValueError, before anything is allocated).  Each code is decoded into
-    its bits and ranked by `_code_ranks`, `_CODE_SLICE` codes at a time."""
-    if not 1 <= r <= _TABLE_R:
-        raise ValueError(f"4-rank tables exist for 1 <= r <= {_TABLE_R}, got {r}")
-    width = r * (r - 1) // 2 + r
-    table = np.empty(1 << width, dtype=np.uint8)
-    for lo, hi in spans(0, table.size, _CODE_SLICE):
-        codes = np.arange(lo, hi, dtype="<u4").view(np.uint8).reshape(-1, 4)
-        bits = np.unpackbits(codes, axis=1, bitorder="little")
-        table[lo:hi] = _code_ranks(bits[:, :width], r)
-    table.flags.writeable = False
-    return table
+    P = r(r-1)/2 (32 kB at r = 5), built by `_code_table` from
+    `_code_ranks` for 1 <= r <= 5."""
+    return _code_table(r, 1, lambda bits: _code_ranks(bits, r))
+
+
+def row_coranks(labels: tuple[str, ...], primes: np.ndarray) -> np.ndarray:
+    """`form_coranks` of the forms `labels` for a stack of same-r n
+    (`twist_batch`'s (count, r) primes), a (len(labels), count) array.
+    Every form reads A, y and z only, so the P + 2r bits of
+    `_symbol_bits` are taken once: up to `_CODE_BITS` of them (1 <= r <=
+    4) looked up in `form_table(labels, r)` at their code, and more (or
+    none, at r = 0) ranked by `form_coranks`."""
+    primes = np.asarray(primes, dtype=np.int64)
+    bits = _symbol_bits(primes, with_z=True)
+    r = primes.shape[1]
+    if 0 < bits.shape[1] <= _CODE_BITS:
+        return form_table(labels, r).take(pack_rows(bits)[:, 0], axis=1)
+    return form_coranks(labels, *_code_twist(bits, r))
+
+
+@cache
+def form_table(labels: tuple[str, ...], r: int) -> np.ndarray:
+    """The coranks of the forms `labels` of a twist with r odd primes,
+    indexed by the code of `row_coranks`: a read-only uint8 array of
+    shape (len(labels), 2^(P + 2r)), P = r(r-1)/2 (48 kB for three forms
+    at r = 4), built by `_code_table` from `form_coranks` of the
+    (A, y, z) of `_code_twist` for 1 <= r <= 4."""
+    return _code_table(r, 2, lambda bits: form_coranks(labels, *_code_twist(bits, r)))
 
 
 def _b_mat(a: F2Matrix) -> F2Matrix:

@@ -175,6 +175,15 @@ def test_alpha_values():
     assert abs(odd - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("b, moment", [(2, 3), (4, 15), (8, 135)])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_alpha_moments(b, moment, parity):
+    # Heath-Brown's moments of 2^s within one parity class: the mean of
+    # b^k under alpha is 3, 15 and 135 for b = 2, 4 and 8.
+    total = sum(alpha(k) * b ** k for k in range(parity, 64, 2))
+    assert abs(total - moment) < 1e-12
+
+
 def test_alpha_past_the_float_range():
     # 2^(k+1) overflows a float from k = 1023 on; alpha is 0.0 from k = 47.
     assert alpha(46) > 0.0

@@ -208,6 +208,36 @@ def test_certify_mismatch_exits_one(capsys, monkeypatch):
     assert out.splitlines()[0] == "n,residue,row,selmer_rank3,L_value"
 
 
+def test_flipped_form_table_entry_is_a_mismatch(capsys, monkeypatch):
+    # One flipped entry of a copy of the residue-5 form table at r = 2
+    # (row 5a at the code of 21 = 3 * 7) shows as an identity mismatch
+    # of the scan and fails certify: the determinant column no longer
+    # equals the divisor sums, which read the g table.
+    import numpy as np
+
+    from cnkit import density, monsky
+    from cnkit.numtheory import sieve_init
+
+    real = monsky.form_table
+    at = int(monsky._words(monsky._symbol_bits(np.array([[3, 7]]), True), np.intp)[0])
+
+    def flipped(labels, r):
+        table = real(labels, r)
+        if (labels[0], r) != ("5a", 2):
+            return table
+        table = table.copy()
+        table[0, at] = table[0, at] == 0
+        return table
+
+    monkeypatch.setattr(monsky, "form_table", flipped)
+    rep = density.scan(5, 2000, sieve_init(2000))
+    assert rep.identity_mismatches > 0
+    assert (21, "5a") in [m[:2] for m in rep.mismatches]
+    code, out = run(["certify", "--residue", "5", "--max-n", "2000"], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "n,residue,row,selmer_rank3,L_value"
+
+
 def test_verify_reports_rows_checked(capsys):
     from cnkit.monsky import rows_for_residue
     from cnkit.numtheory import try_factor_squarefree

@@ -210,14 +210,55 @@ def test_census_edge_limits(sieve, limit):
 
 
 def test_census_table_path_equals_kernel_path(sieve, monkeypatch):
-    # With no r tabled `monsky.four_ranks` ranks the g forms of every
+    # With no code tabled `monsky.four_ranks` ranks the g forms of every
     # stack; the table path gives the same census at 1e5 and at the edge
     # limits.
     limits = (10 ** 5, 0, 1, 2, 3, 65536, 65537, 65539)
     default = [fourrank_census(limit, sieve) for limit in limits]
-    monkeypatch.setattr(monsky, "_TABLE_R", 0)
+    monkeypatch.setattr(monsky, "_CODE_BITS", 0)
     assert [fourrank_census(limit, sieve) for limit in limits] == default
     assert default[0].total == sum(default[0].counts.values()) > 0
+
+
+def _scan_outputs(limit, sieve):
+    """The six scans, the three certified tables (with their certified
+    arrays) and the identity check at limit."""
+    reps = [scan(t, limit, sieve) for t in (1, 2, 3, 5, 6, 7)]
+    certs = [certified_table(t, limit, sieve) for t in (5, 6, 7)]
+    return reps, certs, [c.certified.tolist() for c in certs], identity_check(limit, sieve)
+
+
+def test_scan_table_path_equals_kernel_path(sieve, monkeypatch):
+    # With no code tabled `monsky.row_coranks` ranks the forms of every
+    # stack; the table path gives the same scans at 1e5 and at the edge
+    # limits.
+    limits = (10 ** 5, 0, 1, 2, 65536, 65537)
+    default = [_scan_outputs(limit, sieve) for limit in limits]
+    monkeypatch.setattr(monsky, "_CODE_BITS", 0)
+    assert [_scan_outputs(limit, sieve) for limit in limits] == default
+    assert default[0][0][0].squarefree_count > 0 and default[0][2][0]
+
+
+def test_scan_ranks_only_stacks_past_the_tables(sieve, monkeypatch):
+    # Once the g table and the form tables exist, the only forms a scan
+    # ranks are those of its r >= 5 n: 5a, 5b and 1, 2r + 1 = 11 columns.
+    from cnkit.numtheory import enumerate_squarefree
+
+    limit = 10 ** 5
+    want = scan(5, limit, sieve)
+    ranked = []
+    rank = monsky.rank_batch
+
+    def counting(mats):
+        ranked.append(mats.shape[:2])
+        return rank(mats)
+
+    monkeypatch.setattr(monsky, "rank_batch", counting)
+    assert scan(5, limit, sieve) == want
+    past = sum(f.r >= 5 for f in enumerate_squarefree(5, 8, limit, sieve))
+    assert past > 0
+    assert {m for _, m in ranked} == {11}
+    assert sum(count for count, _ in ranked) == 3 * past
 
 
 def test_census_worker_independence(sieve):

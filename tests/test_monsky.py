@@ -9,6 +9,7 @@ from cnkit.altsim import four_rank
 from cnkit.gf2 import F2Matrix, F2Vector
 from cnkit.monsky import (
     ROW_LABELS,
+    SELMER_FORM,
     aux_n,
     aux_o,
     aux_p,
@@ -486,8 +487,9 @@ def test_batch_paths_match_scalar_at_r_6_to_8(r):
     """Seeded stacks of r distinct odd primes below 200 (products within
     int64, past the r <= 5 of the 1e5 sweeps): twist_batch's A words are
     build_twist's rows, every form_coranks label is the scalar corank of
-    row_matrix_parts, and _redei_coranks and the ranking branch of
-    four_ranks are four_rank at n = 3 (mod 4)."""
+    row_matrix_parts, as is the ranking branch of row_coranks, and
+    _redei_coranks and the ranking branch of four_ranks are four_rank at
+    n = 3 (mod 4)."""
     rng = np.random.default_rng(1603 + r)
     odd_primes = [p for p in range(3, 200, 2) if (f := try_factor_squarefree(p)) and f.r == 1]
     rows = np.sort([rng.choice(odd_primes, r, replace=False) for _ in range(40)], axis=1)
@@ -505,16 +507,19 @@ def test_batch_paths_match_scalar_at_r_6_to_8(r):
     got = monsky._redei_coranks(ns, a, z)[three]
     assert got.tolist() == [four_rank(fs[k]) for k in three]
     assert monsky.four_ranks(rows[three]).tolist() == got.tolist()
+    assert np.array_equal(monsky.row_coranks(ROW_LABELS, rows), coranks)
 
 
 def _decode(code, r):
-    """The (upper rows, y) of a `four_ranks` code: bit k is the k-th
-    pair (i, j) of triu_indices(r, 1), bit P + i is y_i."""
+    """The (upper rows, y, z) of a `four_ranks` or `row_coranks` code:
+    bit k is the k-th pair (i, j) of triu_indices(r, 1), bit P + i is
+    y_i and bit P + r + i is z_i (0 in a `four_ranks` code)."""
     upper = [0] * r
     for k, (i, j) in enumerate(zip(*(v.tolist() for v in np.triu_indices(r, 1)))):
         upper[i] |= (code >> k & 1) << j
     p = r * (r - 1) // 2
-    return upper, [code >> (p + i) & 1 for i in range(r)]
+    y = [code >> (p + i) & 1 for i in range(r)]
+    return upper, y, [code >> (p + r + i) & 1 for i in range(r)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -523,7 +528,7 @@ def test_four_rank_table_is_redei_coranks_of_every_code(r):
     that `reciprocal_fill` builds from the entry's decoded symbols."""
     table = monsky.four_rank_table(r)
     assert table.dtype == np.uint8 and table.size == 1 << (r * (r - 1) // 2 + r)
-    rows = [reciprocal_fill(*_decode(code, r)).rows for code in range(table.size)]
+    rows = [reciprocal_fill(*_decode(code, r)[:2]).rows for code in range(table.size)]
     a = np.array(rows, dtype=row_dtype(r))
     d = np.full(table.size, 3)
     assert np.array_equal(table, monsky._redei_coranks(d, a, np.zeros(a.shape, np.uint8)))
@@ -546,7 +551,7 @@ def test_four_rank_table_agrees_with_four_rank(sieve):
         assert got.tolist() == [four_rank(f) for f in group], r
     idx = tuple(range(2, 6))
     for code in rng.integers(0, 1 << 15, 200).tolist():
-        want = gf2.corank(gf2.submatrix(reciprocal_fill(*_decode(code, 5)), idx, idx))
+        want = gf2.corank(gf2.submatrix(reciprocal_fill(*_decode(code, 5)[:2]), idx, idx))
         assert monsky.four_rank_table(5)[code] == want, code
 
 
@@ -572,6 +577,112 @@ def test_four_rank_tables_built_once_and_read_only(monkeypatch):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+def _scan_labels(t):
+    """The labels a scan of n = t (mod 8) ranks: its rows, then its
+    Selmer form if that is not one of them."""
+    rows = rows_for_residue(t)
+    form = SELMER_FORM[t][0]
+    return rows if form in rows else rows + (form,)
+
+
+@cache
+def _decoded_triples(r):
+    """The (A, y, z) of every `row_coranks` code of r primes, A by
+    `reciprocal_fill`."""
+    width = r * (r - 1) // 2 + 2 * r
+    return [
+        (reciprocal_fill(upper, y), F2Vector.from_bits(y), F2Vector.from_bits(z))
+        for upper, y, z in (_decode(code, r) for code in range(1 << width))
+    ]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_form_table_is_form_coranks_of_every_code(r):
+    """Every entry of each residue's form table is the form_coranks of
+    the (A, y, z) decoded from the entry's code."""
+    triples = _decoded_triples(r)
+    stack = _stack(triples, r)
+    for t in (1, 2, 3, 5, 6, 7):
+        labels = _scan_labels(t)
+        table = monsky.form_table(labels, r)
+        assert table.dtype == np.uint8 and table.shape == (len(labels), len(triples))
+        assert np.array_equal(table, form_coranks(labels, *stack)), t
+
+
+def test_form_table_agrees_with_scalar_corank():
+    """A seeded sample of codes at r = 4 reads the scalar corank of
+    row_matrix_parts for every label of every residue."""
+    rng = np.random.default_rng(1603)
+    triples = _decoded_triples(4)
+    for t in (1, 2, 3, 5, 6, 7):
+        labels = _scan_labels(t)
+        table = monsky.form_table(labels, 4)
+        for code in rng.integers(0, len(triples), 100).tolist():
+            want = [gf2.corank(row_matrix_parts(label, *triples[code])) for label in labels]
+            assert table[:, code].tolist() == want, (t, code)
+
+
+def test_row_coranks_equal_form_coranks_to_1e5(twists):
+    """row_coranks of every squarefree n <= 1e5 of each residue, stacked
+    by r (r = 1 to 4 from the tables, r = 0 and 5 ranked), equals
+    form_coranks of its twist."""
+    for (t, r), group in twists.items():
+        labels = _scan_labels(t)
+        primes = np.array([tw.f.odd_primes for tw in group], dtype=np.int64)
+        got = monsky.row_coranks(labels, primes.reshape(len(group), r))
+        assert got.shape == (len(labels), len(group))
+        assert np.array_equal(got, form_coranks(labels, *_stack(_triples(group), r))), (t, r)
+
+
+def test_form_tables_built_once_and_read_only(monkeypatch):
+    monsky.form_table.cache_clear()
+    built = []
+    rank = monsky.form_coranks
+
+    def counting(labels, a, y, z):
+        built.append(y.shape[1])
+        return rank(labels, a, y, z)
+
+    monkeypatch.setattr(monsky, "form_coranks", counting)
+    labels = _scan_labels(5)
+    tables = [monsky.form_table(labels, r) for r in (1, 2, 3, 4)]
+    assert built == [1, 2, 3] + [4] * 4  # r = 4 in 4 slices of 4,096 codes
+    assert all(monsky.form_table(labels, r) is t for r, t in zip((1, 2, 3, 4), tables))
+    assert len(built) == 7  # no rebuild
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_tables_past_the_code_bits_refused(monkeypatch):
+    """A table whose code takes more than `_CODE_BITS` bits, or of r = 0,
+    is refused before anything is allocated or ranked, for either kind;
+    the bound is the one constant."""
+    import tracemalloc
+
+    def forbidden(*args):
+        raise AssertionError("ranked")
+
+    monkeypatch.setattr(monsky, "form_coranks", forbidden)
+    monkeypatch.setattr(monsky, "_redei_coranks", forbidden)
+    tracemalloc.start()
+    try:
+        for r in (0, 5, 6):  # 2^20 and 2^27 codes
+            with pytest.raises(ValueError, match="1 <= r <= 4"):
+                monsky.form_table(("1",), r)
+        for r in (0, 6):  # 2^21 codes
+            with pytest.raises(ValueError, match="1 <= r <= 5"):
+                monsky.four_rank_table(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    monkeypatch.setattr(monsky, "_CODE_BITS", 14)  # past the cache, which holds r = 5
+    with pytest.raises(ValueError, match="1 <= r <= 4"):
+        monsky.four_rank_table.__wrapped__(5)
 
 
 # The builder itself, out of reach of the `cold_g_table` counting patch.
